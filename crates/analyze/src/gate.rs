@@ -2,37 +2,39 @@
 //!
 //! A [`GatedEngine`] wraps a [`CountingEngine`] behind the static verdict of
 //! [`lint_workload`]: it takes ownership of the declared workload, lints it
-//! once at construction, and then [`GatedEngine::execute`] either
+//! once at construction, and then [`GatedEngine::execute`] passes the
+//! verdict through the shared [`Admission`] path, which either
 //!
-//! * refuses the workload — every answer is
-//!   [`WorkloadAnswer::Refused`] and the audit trail records **one refusal
-//!   per offending query index** (each tagged with the lint code that
-//!   flagged it, bounded by the auditor's trail cap), or
-//! * executes **the identical plan it linted**: the same [`WorkloadSpec`],
-//!   same pool, same expressions flow into
+//! * refuses the workload — every answer is [`WorkloadAnswer::Refused`] and
+//!   the audit trail records one [`Refusal::audit_line`] per offending query
+//!   index plus one per workload-level finding (bounded by the auditor's
+//!   trail cap), or
+//! * admits it, and the gate executes **the identical plan it linted**: the
+//!   same [`WorkloadSpec`], same pool, same expressions flow into
 //!   [`CountingEngine::execute_workload`] — there is no window for the
 //!   executed queries to drift from the linted ones.
 //!
 //! Refusing is a static decision with a citable reason, which is exactly the
 //! defence the paper says a query-serving system needs against "overly
 //! accurate answers to too many questions".
+//!
+//! [`WorkloadAnswer::Refused`]: so_query::engine::WorkloadAnswer::Refused
+//! [`Refusal::audit_line`]: crate::admission::Refusal::audit_line
 
-use std::collections::BTreeMap;
+use so_query::engine::{CountingEngine, WorkloadAnswers};
 
-use so_plan::PlanStats;
-use so_query::engine::{CountingEngine, WorkloadAnswer, WorkloadAnswers};
-use so_query::predicate::RowPredicate;
-
-use crate::lint::{lint_workload, LintConfig, LintReport, Severity};
+use crate::admission::{self, Admission};
+use crate::lint::{lint_workload, LintConfig, LintReport};
 use crate::workload::WorkloadSpec;
 
 /// A counting engine behind a static workload gate.
 ///
 /// Construction lints the declared workload; queries are only ever executed
 /// when the verdict admits it. The underlying auditor sees every attempt:
-/// admitted queries through the normal path, gated refusals via
-/// [`so_query::QueryAuditor::refuse_with`] with the deny finding's lint code
-/// in the description.
+/// admitted queries through the normal path, gated refusals as
+/// [`Refusal::audit_line`] entries naming the lint code.
+///
+/// [`Refusal::audit_line`]: crate::admission::Refusal::audit_line
 pub struct GatedEngine<'a> {
     engine: CountingEngine<'a>,
     workload: WorkloadSpec,
@@ -72,100 +74,34 @@ impl<'a> GatedEngine<'a> {
     /// If the gate is open this is exactly
     /// [`CountingEngine::execute_workload`] on the workload that was linted
     /// at construction. If the verdict denies, no query executes: every
-    /// answer is [`WorkloadAnswer::Refused`], and one refusal per offending
-    /// query index is recorded in the audit trail — tagged with the lint
-    /// code of the finding that flagged that index — so the trail names
-    /// which queries triggered the veto rather than a single blanket entry.
-    /// (The trail honors the auditor's cap; the refusal *counter* still
-    /// counts every offending index.)
+    /// answer is refused and each refusal lands in the audit trail, so
+    /// the trail names which queries triggered the veto rather than a
+    /// single blanket entry. (The trail honors the auditor's cap; the
+    /// refusal *counter* still counts every offending index.)
     pub fn execute(&mut self) -> WorkloadAnswers {
         let span = so_obs::span("gate.execute");
-        if self.report.denies() {
-            crate::obs::gate_metrics().workloads_refused.inc();
-            // First deny finding to flag each index wins; the finding is
-            // kept whole so its evidence payload reaches the trail entry.
-            let mut offending: BTreeMap<usize, &crate::lint::Finding> = BTreeMap::new();
-            for f in self
-                .report
-                .findings
-                .iter()
-                .filter(|f| f.severity == Severity::Deny)
-            {
-                for &q in &f.queries {
-                    offending.entry(q).or_insert(f);
+        match Admission::new(None).decide(&self.workload, &self.report, 0) {
+            Ok(_) => {
+                let out = self.engine.execute_workload(&self.workload);
+                if so_obs::enabled() {
+                    span.finish_with(&[
+                        ("verdict", "admitted".to_owned()),
+                        ("queries", out.answers.len().to_string()),
+                    ]);
                 }
+                out
             }
-            let pool = self.workload.pool();
-            for (&q, &finding) in &offending {
-                let code = finding.lint.code();
-                crate::obs::query_refusals(code).inc();
-                let rendered = match &self.workload.queries()[q].kind {
-                    crate::workload::QueryKind::Pred(id) => pool.render(*id),
-                    crate::workload::QueryKind::Subset(m) => {
-                        format!("subset(|q| = {})", m.count_ones())
-                    }
-                };
-                // Structured diagnostics after the `[gate: CODE] query #i`
-                // prefix: the evidence (rank, cell count, chain indices)
-                // lets an auditor re-check the refusal without re-linting.
-                let evidence = finding
-                    .evidence
-                    .as_ref()
-                    .filter(|ev| !ev.is_empty())
-                    .map(|ev| format!(" [{ev}]"))
-                    .unwrap_or_default();
-                self.engine
-                    .auditor_mut()
-                    .refuse_with(|| format!("[gate: {code}] query #{q}: {rendered}{evidence}"));
+            Err(refusals) => {
+                admission::audit(self.engine.auditor_mut(), &self.workload, &refusals);
+                if so_obs::enabled() {
+                    span.finish_with(&[
+                        ("verdict", "refused".to_owned()),
+                        ("offending", refusals.len().to_string()),
+                    ]);
+                }
+                admission::refused_answers(self.workload.len())
             }
-            if so_obs::enabled() {
-                span.finish_with(&[
-                    ("verdict", "refused".to_owned()),
-                    ("offending", offending.len().to_string()),
-                ]);
-            }
-            return WorkloadAnswers {
-                answers: vec![WorkloadAnswer::Refused; self.workload.len()],
-                targets: vec![None; self.workload.len()],
-                stats: PlanStats {
-                    queries: self.workload.len(),
-                    ..PlanStats::default()
-                },
-            };
         }
-        crate::obs::gate_metrics().workloads_admitted.inc();
-        let out = self.engine.execute_workload(&self.workload);
-        if so_obs::enabled() {
-            span.finish_with(&[
-                ("verdict", "admitted".to_owned()),
-                ("queries", out.answers.len().to_string()),
-            ]);
-        }
-        out
-    }
-
-    /// Answers a single counting query if the gate is open, else records a
-    /// refusal (with the vetoing lint code) and returns `None` — the engine
-    /// never evaluates a predicate of a denied workload. Retained for
-    /// query-at-a-time callers; batch callers should prefer
-    /// [`GatedEngine::execute`], which runs the linted plan itself.
-    pub fn count(&mut self, p: &dyn RowPredicate) -> Option<usize> {
-        if let Some(code) = self.deny_code() {
-            self.engine
-                .auditor_mut()
-                .refuse_with(|| format!("[gate: {code}] {}", p.describe()));
-            return None;
-        }
-        self.engine.count(p)
-    }
-
-    /// The lint code of the first deny finding, if any.
-    fn deny_code(&self) -> Option<&'static str> {
-        self.report
-            .findings
-            .iter()
-            .find(|f| f.severity == Severity::Deny)
-            .map(|f| f.lint.code())
     }
 
     /// Read access to the wrapped engine (auditor, cache statistics).
@@ -194,6 +130,7 @@ mod tests {
     use crate::workload::{Noise, QueryKind};
     use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
     use so_query::audit::QueryAuditor;
+    use so_query::engine::WorkloadAnswer;
     use so_query::predicate::{
         AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
     };
@@ -322,6 +259,44 @@ mod tests {
             "evidence survives the cap: {}",
             trail[0].description
         );
+    }
+
+    /// SO-RECON's density verdict flags no single query; the gate still
+    /// cites it in the trail, as a workload-level entry that counts no
+    /// query as refused.
+    #[test]
+    fn workload_level_refusal_reaches_the_trail() {
+        use rand::Rng;
+        let n = 24;
+        let data = ds(n);
+        let mut rng = so_data::rng::seeded_rng(11);
+        let mut w = WorkloadSpec::new(n);
+        for _ in 0..4 * n {
+            let mut members = so_data::BitVec::zeros(n);
+            for i in 0..n {
+                members.set(i, rng.gen::<bool>());
+            }
+            w.push_subset(&so_plan::SubsetQuery::new(members), Noise::Exact);
+        }
+        let mut gated =
+            GatedEngine::new(CountingEngine::new(&data, None), w, &LintConfig::default());
+        gated.execute();
+        let auditor = gated.engine().auditor();
+        let per_query = auditor
+            .trail()
+            .filter(|r| r.description.contains("] query #"))
+            .count();
+        assert!(per_query > 0);
+        assert_eq!(auditor.queries_refused(), per_query);
+        let workload: Vec<_> = auditor
+            .trail()
+            .filter(|r| r.description.contains("] workload:"))
+            .collect();
+        assert_eq!(workload.len(), 1, "one workload-level entry");
+        assert_eq!(workload[0].seq, auditor.queries_seen() - 1, "it comes last");
+        let line = &workload[0].description;
+        assert!(line.starts_with("[gate: SO-RECON] workload: ["), "{line}");
+        assert!(line.contains("LP-decoding"), "{line}");
     }
 
     #[test]

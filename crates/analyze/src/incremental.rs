@@ -4,7 +4,9 @@
 //! [`GatedEngine`](crate::gate::GatedEngine) lints one workload and owns one
 //! immutable snapshot; an [`IncrementalGate`] instead *persists* across an
 //! interleaving of mutations and workloads against one
-//! [`IncrementalEngine`], and adds two continual-release defences:
+//! [`IncrementalEngine`]. Admission itself is the shared
+//! [`Admission`] path; what this gate adds is state that outlives one
+//! workload:
 //!
 //! * **Lint memoization.** Linting is a pure function of the lint-relevant
 //!   workload signature — the queries' structural hashes, their noise
@@ -19,38 +21,29 @@
 //!   lint-relevant partition changed" rule falls out of keying the memo on
 //!   exactly the inputs the lint passes read.
 //! * **Continual-release budget.** With a [`ContinualAccountant`] attached,
-//!   ε composes *across dataset versions*: the accountant advances to the
-//!   engine's current version before each workload, every query must carry
-//!   a [`Noise::PureDp`] cost (a non-DP release has unbounded privacy loss
-//!   under composition, so it is refused outright), and the whole workload
-//!   is refused — `[gate: SO-CBUDGET]` per query in the audit trail —
-//!   whenever its basic-composition sum no longer fits the remaining
-//!   (optionally windowed) budget.
+//!   ε composes *across dataset versions*: each workload is decided against
+//!   the engine's current version, so the accountant charges (and, with a
+//!   window, ages out) expenditure per version. The `SO-CBUDGET` refusals
+//!   themselves are [`Admission::decide`]'s.
 
-use so_dp::ContinualAccountant;
-use so_plan::PlanStats;
-use so_query::engine::{WorkloadAnswer, WorkloadAnswers};
-use so_query::incremental::IncrementalEngine;
-
-use crate::lint::{lint_workload, LintConfig, LintReport, Severity};
-use crate::workload::{Noise, QueryKind, WorkloadSpec};
-
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use so_data::{MutationEffect, Value};
+use so_dp::ContinualAccountant;
+use so_query::engine::WorkloadAnswers;
+use so_query::incremental::IncrementalEngine;
 
-/// The lint-refusal code for continual-budget violations (not a static
-/// lint: the verdict depends on accountant state, so it is enforced at
-/// execution time, after the structural lints admit the workload).
-pub const CBUDGET_CODE: &str = "SO-CBUDGET";
+use crate::admission::{self, Admission};
+use crate::lint::{lint_workload, LintConfig, LintReport};
+use crate::workload::{Noise, QueryKind, WorkloadSpec};
 
 /// A persistent workload gate over an [`IncrementalEngine`], with lint
 /// memoization and optional continual-release budget accounting.
 pub struct IncrementalGate {
     engine: IncrementalEngine,
     cfg: LintConfig,
-    accountant: Option<ContinualAccountant>,
+    admission: Admission,
     memo: HashMap<Vec<u8>, LintReport>,
     relints: usize,
     relints_skipped: usize,
@@ -63,7 +56,7 @@ impl IncrementalGate {
         IncrementalGate {
             engine,
             cfg,
-            accountant: None,
+            admission: Admission::new(None),
             memo: HashMap::new(),
             relints: 0,
             relints_skipped: 0,
@@ -77,9 +70,10 @@ impl IncrementalGate {
         cfg: LintConfig,
         accountant: ContinualAccountant,
     ) -> Self {
-        let mut gate = Self::new(engine, cfg);
-        gate.accountant = Some(accountant);
-        gate
+        IncrementalGate {
+            admission: Admission::new(Some(accountant)),
+            ..Self::new(engine, cfg)
+        }
     }
 
     /// The underlying incremental engine.
@@ -89,7 +83,7 @@ impl IncrementalGate {
 
     /// The continual accountant, if budget accounting is on.
     pub fn accountant(&self) -> Option<&ContinualAccountant> {
-        self.accountant.as_ref()
+        self.admission.accountant()
     }
 
     /// Fresh [`lint_workload`] runs this gate has performed.
@@ -113,35 +107,34 @@ impl IncrementalGate {
         self.engine.delete_live(live)
     }
 
-    /// Lints (or recalls the memoized verdict for) `workload`, then either
-    /// refuses it — per-query `[gate: CODE]` audit-trail entries, every
-    /// answer [`WorkloadAnswer::Refused`] — or executes it through the
-    /// incremental engine. With an accountant attached, admission further
-    /// requires every query to be a `PureDp` release whose cumulative
-    /// cross-version cost fits the remaining budget.
+    /// Lints (or recalls the memoized verdict for) `workload` and decides
+    /// it against the engine's current version. A refused workload leaves
+    /// one audit-trail entry per refusal and every answer
+    /// [`WorkloadAnswer::Refused`]; an admitted one executes through the
+    /// incremental engine.
+    ///
+    /// [`WorkloadAnswer::Refused`]: so_query::engine::WorkloadAnswer::Refused
     pub fn execute(&mut self, mut workload: WorkloadSpec) -> WorkloadAnswers {
-        let span = so_obs::span("gate.incremental_execute");
-        let key = self.signature(&workload);
-        let report = match self.memo.get(&key) {
-            Some(r) => {
+        let _span = so_obs::span("gate.incremental_execute");
+        let report = match self.memo.entry(self.signature(&workload)) {
+            Entry::Occupied(e) => {
                 self.relints_skipped += 1;
                 crate::obs::gate_metrics().relint_skipped.inc();
-                r.clone()
+                e.into_mut()
             }
-            None => {
+            Entry::Vacant(e) => {
                 self.relints += 1;
-                let r = lint_workload(&mut workload, &self.cfg);
-                self.memo.insert(key, r.clone());
-                r
+                e.insert(lint_workload(&mut workload, &self.cfg))
             }
         };
-        let result = if report.denies() {
-            self.refuse_by_lint(&workload, &report)
-        } else {
-            self.execute_admitted(&workload)
-        };
-        drop(span);
-        result
+        let version = self.engine.dataset().version();
+        match self.admission.decide(&workload, report, version) {
+            Ok(_) => self.engine.execute_workload(&workload),
+            Err(refusals) => {
+                admission::audit(self.engine.auditor_mut(), &workload, &refusals);
+                admission::refused_answers(workload.len())
+            }
+        }
     }
 
     /// The lint-relevant signature: row count, then per query the kind
@@ -179,121 +172,6 @@ impl IncrementalGate {
         }
         key
     }
-
-    /// The static-lint refusal path, mirroring
-    /// [`GatedEngine::execute`](crate::gate::GatedEngine::execute): one
-    /// trail entry per offending query index, tagged with the lint code
-    /// and carrying the finding's evidence.
-    fn refuse_by_lint(&mut self, workload: &WorkloadSpec, report: &LintReport) -> WorkloadAnswers {
-        crate::obs::gate_metrics().workloads_refused.inc();
-        let mut offending: BTreeMap<usize, &crate::lint::Finding> = BTreeMap::new();
-        for f in report
-            .findings
-            .iter()
-            .filter(|f| f.severity == Severity::Deny)
-        {
-            for &q in &f.queries {
-                offending.entry(q).or_insert(f);
-            }
-        }
-        let pool = workload.pool();
-        for (&q, &finding) in &offending {
-            let code = finding.lint.code();
-            crate::obs::query_refusals(code).inc();
-            let rendered = render_query(workload, q);
-            let evidence = finding
-                .evidence
-                .as_ref()
-                .filter(|ev| !ev.is_empty())
-                .map(|ev| format!(" [{ev}]"))
-                .unwrap_or_default();
-            let _ = pool; // rendered above; keep borrow scoped
-            self.engine
-                .auditor_mut()
-                .refuse_with(|| format!("[gate: {code}] query #{q}: {rendered}{evidence}"));
-        }
-        refused_answers(workload.len())
-    }
-
-    /// The admitted path: charge the continual budget (if any), then run
-    /// the workload through the incremental engine.
-    fn execute_admitted(&mut self, workload: &WorkloadSpec) -> WorkloadAnswers {
-        if let Some(acct) = self.accountant.as_mut() {
-            let version = self.engine.dataset().version();
-            acct.advance_to(version);
-            // Every query must be a DP release: a single exact (or merely
-            // bounded-noise) answer has unbounded ε under composition.
-            let non_dp: Vec<usize> = workload
-                .queries()
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| !matches!(q.noise, Noise::PureDp { .. }))
-                .map(|(i, _)| i)
-                .collect();
-            if !non_dp.is_empty() {
-                crate::obs::gate_metrics().workloads_refused.inc();
-                for q in non_dp {
-                    crate::obs::query_refusals(CBUDGET_CODE).inc();
-                    let rendered = render_query(workload, q);
-                    self.engine.auditor_mut().refuse_with(|| {
-                        format!(
-                            "[gate: {CBUDGET_CODE}] query #{q}: {rendered} \
-                             [non-DP release under continual accounting]"
-                        )
-                    });
-                }
-                return refused_answers(workload.len());
-            }
-            let costs: Vec<f64> = workload
-                .queries()
-                .iter()
-                .map(|q| match q.noise {
-                    Noise::PureDp { epsilon } => epsilon,
-                    _ => unreachable!("non-DP queries refused above"),
-                })
-                .collect();
-            let check = acct.precheck(&costs);
-            if !check.admissible {
-                crate::obs::gate_metrics().workloads_refused.inc();
-                for q in 0..workload.len() {
-                    crate::obs::query_refusals(CBUDGET_CODE).inc();
-                    let rendered = render_query(workload, q);
-                    let total = check.total;
-                    let remaining = check.remaining;
-                    self.engine.auditor_mut().refuse_with(|| {
-                        format!(
-                            "[gate: {CBUDGET_CODE}] query #{q}: {rendered} \
-                             [workload ε {total:.4} > remaining {remaining:.4} at v{version}]"
-                        )
-                    });
-                }
-                return refused_answers(workload.len());
-            }
-            for &eps in &costs {
-                let ok = acct.try_spend(eps);
-                debug_assert!(ok, "precheck admitted the workload");
-            }
-        }
-        self.engine.execute_workload(workload)
-    }
-}
-
-fn render_query(workload: &WorkloadSpec, q: usize) -> String {
-    match &workload.queries()[q].kind {
-        QueryKind::Pred(id) => workload.pool().render(*id),
-        QueryKind::Subset(m) => format!("subset(|q| = {})", m.count_ones()),
-    }
-}
-
-fn refused_answers(n: usize) -> WorkloadAnswers {
-    WorkloadAnswers {
-        answers: vec![WorkloadAnswer::Refused; n],
-        targets: vec![None; n],
-        stats: PlanStats {
-            queries: n,
-            ..PlanStats::default()
-        },
-    }
 }
 
 #[cfg(test)]
@@ -304,6 +182,7 @@ mod tests {
         VersionedDataset,
     };
     use so_plan::shape::PredShape;
+    use so_query::engine::WorkloadAnswer;
     use std::sync::Arc;
 
     fn schema() -> Arc<Schema> {

@@ -26,13 +26,21 @@
 //!   cell-isolation (`SO-COVER`) passes, Dinur–Nissim reconstruction
 //!   density, ε-budget precheck against the `so-dp` accountant, and
 //!   tautology/contradiction/duplicate hygiene;
+//! * [`admission`] — the one admission path every gate shares: lint
+//!   refusal (first deny finding per query index, workload-level findings
+//!   as `query: None`), the optional continual-release budget
+//!   (`SO-CBUDGET`), and the single audit-line rendering of a
+//!   [`admission::Refusal`];
 //! * [`gate`] — [`gate::GatedEngine`], a gatekeeper-mode
 //!   [`so_query::CountingEngine`] that lints the declared workload at
 //!   construction and then either refuses it (one citable refusal per
 //!   offending query in the audit trail, with the finding's evidence
 //!   payload) or executes the identical plan via the whole-workload
-//!   planner.
+//!   planner;
+//! * [`incremental`] — [`incremental::IncrementalGate`], the same admission
+//!   in front of a mutable, versioned dataset, with lint memoization.
 
+pub mod admission;
 pub mod gate;
 pub mod incremental;
 pub mod lattice;
@@ -46,8 +54,9 @@ pub mod obs;
 pub use so_plan::ir;
 pub use so_plan::workload;
 
+pub use admission::{Admission, Refusal, CBUDGET_CODE};
 pub use gate::GatedEngine;
-pub use incremental::{IncrementalGate, CBUDGET_CODE};
+pub use incremental::IncrementalGate;
 pub use ir::{Atom, ExprId, PredNode, PredPool};
 pub use lint::{
     lint_workload, lint_workload_default, Evidence, Finding, LintConfig, LintId, LintReport,

@@ -23,7 +23,7 @@
 //!   narrow cell in the rational row span of the exact releases is isolated
 //!   by an admitted combination (`SO-COVER`);
 //! * **ε-budget precheck** — statically sums worst-case privacy cost
-//!   against a [`PrivacyAccountant`] (basic composition) so an over-budget
+//!   against a fresh [`ContinualAccountant`] (basic composition) so an over-budget
 //!   workload is refused before its first answer, and exact-release queries
 //!   are rejected outright under an ε-gated policy;
 //! * **tautology / contradiction / duplicate** — dead queries and repeated
@@ -35,7 +35,7 @@
 use std::collections::{HashMap, HashSet};
 
 use so_data::BitVec;
-use so_dp::PrivacyAccountant;
+use so_dp::ContinualAccountant;
 
 use crate::ir::ExprId;
 use crate::matrix::{
@@ -975,7 +975,7 @@ fn budget_pass(noises: &[Noise], cfg: &LintConfig, report: &mut LintReport) {
         return;
     }
     let costs: Vec<f64> = dp.iter().map(|&(_, e)| e).collect();
-    let pre = PrivacyAccountant::new(budget).precheck(&costs);
+    let pre = ContinualAccountant::new(budget).precheck(&costs);
     if !pre.admissible {
         let first = pre.first_refused.map(|k| dp[k].0);
         report.findings.push(Finding {

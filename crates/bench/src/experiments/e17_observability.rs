@@ -5,7 +5,7 @@
 //! runtime ledger. Three phases replay representative workloads — the E2 LP
 //! reconstruction, a tabular cross-tab served twice by the
 //! [`CountingEngine`] (the replay makes the node cache visible), and a
-//! Laplace release loop metered by a [`PrivacyAccountant`] — while the cost
+//! Laplace release loop metered by a [`ContinualAccountant`] — while the cost
 //! profile table cross-checks each engine's locally tallied statistics
 //! against the deltas the run produced in the [`so_obs::global`] metrics
 //! registry. In a single-process run every row matches exactly; under
@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use so_data::rng::seeded_rng;
 use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
-use so_dp::{LaplaceCount, PrivacyAccountant};
+use so_dp::{ContinualAccountant, LaplaceCount};
 use so_query::{BoundedNoiseSum, CountingEngine};
 use so_recon::{lp_reconstruct, reconstruction_accuracy};
 
@@ -212,13 +212,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let eps_each = 0.1;
     let budget = eps_each * releases as f64 / 2.0; // half get refused
     let mech = LaplaceCount::new(eps_each);
-    let mut accountant = PrivacyAccountant::new(budget);
+    let mut accountant = ContinualAccountant::new(budget);
     let mut rng = seeded_rng(0xE17_04);
     let before = RegistrySnapshot::take();
     let t0 = Instant::now();
     let mut released = 0usize;
     for i in 0..releases {
-        if accountant.try_spend(&format!("release_{i}"), eps_each) {
+        if accountant.try_spend(eps_each) {
             let _ = mech.release(100 + i, &mut rng);
             released += 1;
         }

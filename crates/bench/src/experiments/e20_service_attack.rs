@@ -193,7 +193,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
     );
     server
         .with_tenant("guarded", |t| {
-            let log = t.refusal_log();
+            let log: Vec<&str> = t
+                .auditor()
+                .trail()
+                .map(|r| r.description.as_str())
+                .collect();
             let total = log.len();
             let mut rows: Vec<(String, String)> = Vec::new();
             if let Some(first) = log.first() {

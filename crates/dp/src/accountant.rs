@@ -14,14 +14,18 @@
 //!   compose to `ε' = ε√(2k ln(1/δ')) + k ε (e^ε − 1)` with additional
 //!   failure probability δ', trading a δ for a √k growth rate.
 //!
-//! [`ContinualAccountant`] extends the budget ledger to *continual release*
-//! over a mutable, versioned dataset: each dataset version carries its own
-//! expenditure sub-ledger, and the budget constrains the basic-composition
-//! sum either over every version ever released against (the default — the
-//! paper's closure-under-composition argument applies verbatim, since each
-//! release is a DP mechanism over a neighbouring-dataset relation that
-//! spans versions) or over a sliding window of the most recent `w` versions
-//! (the bounded-memory regime of the continual-observation literature).
+//! [`ContinualAccountant`] is the one spendable budget. It serves one-shot
+//! analyses (a version-0 accountant that never advances is a plain budget
+//! ledger) and *continual release* over a mutable, versioned dataset: each
+//! dataset version carries its own expenditure sub-ledger, and the budget
+//! constrains the basic-composition sum either over every version ever
+//! released against (the default — the paper's closure-under-composition
+//! argument applies verbatim, since each release is a DP mechanism over a
+//! neighbouring-dataset relation that spans versions) or over a sliding
+//! window of the most recent `w` versions (the bounded-memory regime of the
+//! continual-observation literature). It keeps per-version sums, not
+//! per-spend labels, so its memory does not grow with the number of
+//! releases.
 
 use std::collections::BTreeMap;
 
@@ -104,87 +108,6 @@ pub struct BudgetPrecheck {
     pub admissible: bool,
     /// Index of the first analysis that would be refused, if any.
     pub first_refused: Option<usize>,
-}
-
-/// A spendable privacy budget with a running ledger (basic composition).
-#[derive(Debug, Clone)]
-pub struct PrivacyAccountant {
-    budget: f64,
-    spent: f64,
-    ledger: Vec<(String, f64)>,
-}
-
-impl PrivacyAccountant {
-    /// Opens an accountant with total budget `ε_total`.
-    ///
-    /// # Panics
-    /// Panics on a non-positive or non-finite budget.
-    pub fn new(budget: f64) -> Self {
-        assert!(budget > 0.0 && budget.is_finite(), "bad budget {budget}");
-        PrivacyAccountant {
-            budget,
-            spent: 0.0,
-            ledger: Vec::new(),
-        }
-    }
-
-    /// Attempts to spend `epsilon` on an analysis; returns false (and spends
-    /// nothing) if the budget would be exceeded.
-    pub fn try_spend(&mut self, label: &str, epsilon: f64) -> bool {
-        assert!(
-            epsilon > 0.0 && epsilon.is_finite(),
-            "bad epsilon {epsilon}"
-        );
-        if self.spent + epsilon > self.budget + 1e-12 {
-            crate::obs::dp_metrics().budget_refusals.inc();
-            return false;
-        }
-        self.spent += epsilon;
-        self.ledger.push((label.to_owned(), epsilon));
-        crate::obs::dp_metrics().epsilon_spent.add(epsilon);
-        true
-    }
-
-    /// Statically sums the worst-case cost of a workload of per-analysis ε
-    /// values (basic composition) against the remaining budget, spending
-    /// nothing. Every cost must be positive and finite, mirroring
-    /// [`PrivacyAccountant::try_spend`].
-    ///
-    /// # Panics
-    /// Panics on a non-positive or non-finite cost.
-    pub fn precheck(&self, epsilons: &[f64]) -> BudgetPrecheck {
-        let remaining = self.remaining();
-        let mut total = 0.0;
-        let mut first_refused = None;
-        for (i, &eps) in epsilons.iter().enumerate() {
-            assert!(eps > 0.0 && eps.is_finite(), "bad epsilon {eps}");
-            total += eps;
-            if first_refused.is_none() && total > remaining + 1e-12 {
-                first_refused = Some(i);
-            }
-        }
-        BudgetPrecheck {
-            total,
-            remaining,
-            admissible: first_refused.is_none(),
-            first_refused,
-        }
-    }
-
-    /// Total ε spent so far.
-    pub fn spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// Remaining budget.
-    pub fn remaining(&self) -> f64 {
-        (self.budget - self.spent).max(0.0)
-    }
-
-    /// The ledger of `(label, ε)` expenditures in order.
-    pub fn ledger(&self) -> &[(String, f64)] {
-        &self.ledger
-    }
 }
 
 /// A continual-release privacy accountant: ε composes across dataset
@@ -310,9 +233,10 @@ impl ContinualAccountant {
         true
     }
 
-    /// Statically sums a workload of per-analysis ε costs against the
-    /// remaining (windowed) budget, spending nothing — the same contract as
-    /// [`PrivacyAccountant::precheck`].
+    /// Statically sums the worst-case cost of a workload of per-analysis ε
+    /// values (basic composition) against the remaining (windowed) budget,
+    /// spending nothing. Every cost must be positive and finite, mirroring
+    /// [`ContinualAccountant::try_spend`].
     ///
     /// # Panics
     /// Panics on a non-positive or non-finite cost.
@@ -385,21 +309,19 @@ mod tests {
 
     #[test]
     fn accountant_enforces_budget() {
-        let mut a = PrivacyAccountant::new(1.0);
-        assert!(a.try_spend("q1", 0.4));
-        assert!(a.try_spend("q2", 0.4));
-        assert!(!a.try_spend("q3", 0.4), "would exceed");
-        assert!(a.try_spend("q3-small", 0.2));
+        let mut a = ContinualAccountant::new(1.0);
+        assert!(a.try_spend(0.4));
+        assert!(a.try_spend(0.4));
+        assert!(!a.try_spend(0.4), "would exceed");
+        assert!(a.try_spend(0.2));
         assert!((a.spent() - 1.0).abs() < 1e-12);
         assert!(a.remaining() < 1e-12);
-        assert_eq!(a.ledger().len(), 3);
-        assert_eq!(a.ledger()[0].0, "q1");
     }
 
     #[test]
     fn precheck_is_static_and_matches_try_spend() {
-        let mut a = PrivacyAccountant::new(1.0);
-        assert!(a.try_spend("prior", 0.3));
+        let mut a = ContinualAccountant::new(1.0);
+        assert!(a.try_spend(0.3));
         let ok = a.precheck(&[0.2, 0.2, 0.3]);
         assert!(ok.admissible);
         assert_eq!(ok.first_refused, None);
@@ -412,14 +334,14 @@ mod tests {
         assert!(!too_much.admissible);
         assert_eq!(too_much.first_refused, Some(2));
         // The verdict agrees with actually spending, query by query.
-        assert!(a.try_spend("q0", 0.2));
-        assert!(a.try_spend("q1", 0.2));
-        assert!(!a.try_spend("q2", 0.4));
+        assert!(a.try_spend(0.2));
+        assert!(a.try_spend(0.2));
+        assert!(!a.try_spend(0.4));
     }
 
     #[test]
     fn precheck_of_empty_workload_is_admissible() {
-        let a = PrivacyAccountant::new(0.5);
+        let a = ContinualAccountant::new(0.5);
         let r = a.precheck(&[]);
         assert!(r.admissible);
         assert_eq!(r.total, 0.0);
@@ -428,13 +350,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "bad epsilon")]
     fn precheck_rejects_nonfinite_cost() {
-        PrivacyAccountant::new(1.0).precheck(&[0.1, f64::INFINITY]);
+        ContinualAccountant::new(1.0).precheck(&[0.1, f64::INFINITY]);
     }
 
     #[test]
     #[should_panic(expected = "bad epsilon")]
     fn accountant_rejects_nonpositive_spend() {
-        PrivacyAccountant::new(1.0).try_spend("bad", 0.0);
+        ContinualAccountant::new(1.0).try_spend(0.0);
     }
 
     #[test]

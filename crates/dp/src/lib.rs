@@ -33,9 +33,7 @@ pub mod samplers;
 pub mod svt;
 pub mod verify;
 
-pub use accountant::{
-    AdvancedComposition, BasicComposition, BudgetPrecheck, ContinualAccountant, PrivacyAccountant,
-};
+pub use accountant::{AdvancedComposition, BasicComposition, BudgetPrecheck, ContinualAccountant};
 pub use laplace_sum::LaplaceSum;
 pub use mechanisms::{
     exponential_mechanism, noisy_histogram, randomized_response, GaussianCount, GeometricCount,

@@ -26,7 +26,7 @@ pub struct DpMetrics {
     /// (export-only).
     pub noise_abs: Histogram,
     /// `so_dp_epsilon_spent` — cumulative ε spent by successful
-    /// [`PrivacyAccountant::try_spend`](crate::accountant::PrivacyAccountant::try_spend)
+    /// [`ContinualAccountant::try_spend`](crate::accountant::ContinualAccountant::try_spend)
     /// calls, summed over every accountant in the process.
     pub epsilon_spent: Gauge,
     /// `so_dp_budget_refusals_total` — spends refused because they would

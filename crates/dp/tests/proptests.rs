@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use so_data::rng::seeded_rng;
 use so_dp::{
     sample_laplace, sample_two_sided_geometric, AdvancedComposition, BasicComposition,
-    GeometricCount, LaplaceCount, PrivacyAccountant,
+    ContinualAccountant, GeometricCount, LaplaceCount,
 };
 
 proptest! {
@@ -72,9 +72,9 @@ proptest! {
     #[test]
     fn accountant_never_overspends(spends in proptest::collection::vec(0.01f64..0.5, 1..40)) {
         let budget = 1.0;
-        let mut acc = PrivacyAccountant::new(budget);
-        for (i, &e) in spends.iter().enumerate() {
-            acc.try_spend(&format!("q{i}"), e);
+        let mut acc = ContinualAccountant::new(budget);
+        for &e in &spends {
+            acc.try_spend(e);
             prop_assert!(acc.spent() <= budget + 1e-9, "overspent {}", acc.spent());
         }
         prop_assert!((acc.spent() + acc.remaining() - budget).abs() < 1e-9);

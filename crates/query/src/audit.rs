@@ -107,6 +107,13 @@ impl QueryAuditor {
         self.record(describe, false);
     }
 
+    /// Records a refusal that concerns a whole workload rather than one
+    /// query (e.g. a reconstruction-density verdict). It is a trail record
+    /// like any other, but no query is counted as refused for it.
+    pub fn note_refusal_with(&mut self, describe: impl FnOnce() -> String) {
+        self.record(describe, false);
+    }
+
     /// Appends a trail record (honouring the retention policy) and advances
     /// the global sequence number. Records not retained — cap evictions and
     /// `Some(0)` non-retention — count as dropped, so
@@ -346,6 +353,19 @@ mod tests {
         assert!(!t[1].admitted);
         assert_eq!(t[1].description, "vetoed by gate");
         assert_eq!(t[1].seq, 1);
+    }
+
+    #[test]
+    fn workload_refusal_note_is_a_record_but_not_a_refused_query() {
+        let mut a = QueryAuditor::with_trail_cap(None, 1);
+        a.refuse_with(|| "query #0".to_owned());
+        a.note_refusal_with(|| "workload".to_owned());
+        assert_eq!(a.queries_refused(), 1);
+        assert_eq!(a.queries_seen(), 2);
+        let t = trail_vec(&a);
+        assert_eq!(t.len(), 1, "the cap bounds workload notes too");
+        assert!(!t[0].admitted);
+        assert_eq!(t[0].description, "workload");
     }
 
     #[test]

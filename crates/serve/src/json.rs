@@ -189,6 +189,7 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -206,6 +207,7 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -354,14 +356,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through whole.
-                    let start = self.pos;
-                    let rest = &self.bytes[start..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary of
+                    // the (already valid UTF-8) input.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -460,6 +464,20 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(parse("2.5").unwrap().as_usize(), None);
         assert_eq!(parse("-1").unwrap().as_usize(), None);
+    }
+
+    /// A frame-sized string parses in linear time: one string of multi-byte
+    /// characters just under the frame cap round-trips.
+    #[test]
+    fn frame_sized_multibyte_string_roundtrips() {
+        let max = crate::proto::DEFAULT_MAX_FRAME;
+        let text = "é☃\u{1F600}".repeat((max - 64) / 9);
+        let v = Json::obj(vec![("s", Json::str(&text))]);
+        let rendered = v.render();
+        assert!(rendered.len() > max - 64 && rendered.len() <= max);
+        let back = parse(&rendered).unwrap();
+        assert_eq!(back.get("s").and_then(Json::as_str), Some(text.as_str()));
+        assert_eq!(back, v);
     }
 
     #[test]

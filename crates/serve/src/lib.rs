@@ -15,8 +15,9 @@
 //!   [`json`] as its dependency-free parser/renderer;
 //! * [`tenant`] — per-tenant isolation: each tenant has its own dataset,
 //!   secret column, lint-gate policy, optional continual-release
-//!   ε-accountant ([`so_analyze::IncrementalGate`] semantics at the service
-//!   edge), token-bucket rate limit, and audit log;
+//!   ε-accountant, token-bucket rate limit, and bounded audit trail; it
+//!   admits through [`so_analyze::Admission`], the same path as the
+//!   in-process gates;
 //! * [`limit`] — deterministic rate limiting over a logical clock, so
 //!   rate-limit refusals (and their `retry_after_ticks`) are reproducible
 //!   byte-for-byte in the experiments;

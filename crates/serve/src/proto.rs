@@ -454,19 +454,10 @@ impl Request {
     }
 }
 
-/// One refusal inside a refused-workload response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireRefusal {
-    /// Offending query index (declaration order), or `None` when the
-    /// finding concerns the workload as a whole (e.g. `SO-RECON`'s
-    /// density verdict: no single query is at fault, their count is).
-    pub query: Option<usize>,
-    /// The gate code that flagged it (`SO-RECON`, `SO-CBUDGET`, …).
-    pub code: String,
-    /// The finding's structured evidence (or its message, for
-    /// workload-level findings), rendered.
-    pub evidence: String,
-}
+/// One refusal inside a refused-workload response: the gate's own
+/// [`so_analyze::Refusal`], so the wire and the audit trail carry the same
+/// fields.
+pub use so_analyze::admission::Refusal as WireRefusal;
 
 /// A parsed response.
 #[derive(Debug, Clone, PartialEq)]

@@ -150,7 +150,7 @@ impl ServerHandle {
     }
 
     /// Runs `f` on a tenant's state under its lock — the experiment
-    /// harness uses this to read ground truth (secret column, audit log)
+    /// harness uses this to read ground truth (secret column, audit trail)
     /// server-side. Returns `None` for an unknown tenant.
     pub fn with_tenant<T>(&self, name: &str, f: impl FnOnce(&Tenant) -> T) -> Option<T> {
         self.shared.tenants.get(name).map(|t| f(&lock_clean(t)))

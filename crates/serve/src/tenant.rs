@@ -1,4 +1,4 @@
-//! Per-tenant state: data, gate policy, budget, rate limit, audit log.
+//! Per-tenant state: data, gate policy, budget, rate limit, audit trail.
 //!
 //! A tenant is one isolated statistical-query surface. Each holds
 //!
@@ -7,27 +7,24 @@
 //!   tenant seed;
 //! * a gate policy: an *ungated* tenant answers any well-formed workload
 //!   (the vulnerable production API of the reconstruction literature); a
-//!   *gated* tenant lints every workload with [`lint_workload`] first and
-//!   refuses with the same per-index, evidence-bearing entries as
-//!   [`so_analyze::GatedEngine`];
+//!   *gated* tenant lints every workload with [`lint_workload`] first;
 //! * optionally a [`ContinualAccountant`], under which non-DP releases are
-//!   refused outright and admitted DP workloads spend ε — the
-//!   [`so_analyze::IncrementalGate`] `SO-CBUDGET` semantics, enforced at
-//!   the service edge;
-//! * a [`TokenBucket`] rate limit and an append-only refusal log in the
-//!   gate's audit format, so a wire refusal is as citable as an in-process
-//!   one.
+//!   refused outright and admitted DP workloads spend ε, gated or not;
+//! * a [`TokenBucket`] rate limit and a bounded [`QueryAuditor`] trail.
+//!
+//! The verdict is [`Admission::decide`], the same admission path as
+//! [`so_analyze::GatedEngine`] and [`so_analyze::IncrementalGate`], and the
+//! trail holds the same [`Refusal::audit_line`]s, so a wire refusal is as
+//! citable as an in-process one.
 //!
 //! Tenants never share mutable state: a panic while serving one tenant (the
 //! worker catches it) cannot corrupt another tenant's accountant or bucket.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use so_analyze::lint::{lint_workload, LintConfig, Severity};
-use so_analyze::CBUDGET_CODE;
+use so_analyze::admission::{self, Admission, Refusal};
+use so_analyze::lint::{lint_workload, LintConfig, LintReport};
 use so_data::rng::{derive_seed, seeded_rng};
 use so_data::{
     AttributeDef, AttributeRole, BitVec, DataType, Dataset, DatasetBuilder, Schema, StorageEngine,
@@ -36,11 +33,16 @@ use so_data::{
 use so_dp::{sample_laplace, ContinualAccountant};
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, QueryKind, WorkloadSpec};
+use so_query::audit::QueryAuditor;
 use so_query::engine::{CountingEngine, WorkloadAnswer};
 
 use crate::flight::{FlightRecorder, RequestProfile};
 use crate::limit::TokenBucket;
-use crate::proto::{ProtoError, WireQuery, WireRefusal};
+use crate::proto::{ProtoError, WireQuery};
+
+/// How many records a tenant's audit trail keeps; the oldest go first (the
+/// refusal counters stay exact). A refused 192-query LP battery writes 193.
+pub const AUDIT_TRAIL_CAP: usize = 256;
 
 /// Static configuration of one tenant.
 #[derive(Debug, Clone)]
@@ -52,7 +54,8 @@ pub struct TenantConfig {
     /// Master seed; the secret column and release-noise stream derive from
     /// it, so a tenant's behavior is a pure function of its config.
     pub seed: u64,
-    /// Whether workloads pass through the lint gate.
+    /// Whether workloads pass through the lint gate. The continual budget
+    /// applies either way.
     pub gated: bool,
     /// Lint tunables for the gate (ignored when ungated).
     pub lint: LintConfig,
@@ -119,7 +122,7 @@ pub enum WorkloadOutcome {
     /// Admitted: released answers, in declaration order.
     Answered(Vec<f64>),
     /// Refused by the gate: per-offending-index refusals, no query ran.
-    Refused(Vec<WireRefusal>),
+    Refused(Vec<Refusal>),
 }
 
 /// One tenant's live state.
@@ -127,10 +130,10 @@ pub struct Tenant {
     config: TenantConfig,
     dataset: Dataset,
     secret: BitVec,
-    accountant: Option<ContinualAccountant>,
+    admission: Admission,
     noise_rng: StdRng,
     bucket: TokenBucket,
-    refusal_log: Vec<String>,
+    auditor: QueryAuditor,
     workloads_answered: u64,
     workloads_refused: u64,
     flight: FlightRecorder,
@@ -159,7 +162,7 @@ impl Tenant {
         }
         let noise_rng = seeded_rng(derive_seed(config.seed, 2));
         let bucket = TokenBucket::new(config.rate_capacity, config.rate_refill_every);
-        let accountant = config.continual_epsilon.map(ContinualAccountant::new);
+        let admission = Admission::new(config.continual_epsilon.map(ContinualAccountant::new));
         let flight = match config.flight_cap {
             Some(cap) => FlightRecorder::new(cap),
             None => FlightRecorder::from_env(),
@@ -168,10 +171,10 @@ impl Tenant {
             config,
             dataset,
             secret,
-            accountant,
+            admission,
             noise_rng,
             bucket,
-            refusal_log: Vec::new(),
+            auditor: QueryAuditor::with_trail_cap(None, AUDIT_TRAIL_CAP),
             workloads_answered: 0,
             workloads_refused: 0,
             flight,
@@ -202,7 +205,7 @@ impl Tenant {
 
     /// Budget state: `(accounting?, spent, remaining, version)`.
     pub fn budget(&self) -> (bool, f64, f64, u64) {
-        match &self.accountant {
+        match self.admission.accountant() {
             Some(a) => (true, a.spent(), a.remaining(), a.version()),
             None => (false, 0.0, 0.0, 0),
         }
@@ -213,9 +216,10 @@ impl Tenant {
         self.bucket.admit(tick)
     }
 
-    /// The refusal audit log, in `[gate: CODE] query #i: …` format.
-    pub fn refusal_log(&self) -> &[String] {
-        &self.refusal_log
+    /// The refusal audit trail: the newest [`AUDIT_TRAIL_CAP`]
+    /// [`Refusal::audit_line`]s, oldest first.
+    pub fn auditor(&self) -> &QueryAuditor {
+        &self.auditor
     }
 
     /// `(answered, refused)` workload counters.
@@ -246,7 +250,7 @@ impl Tenant {
     /// (`so_serve_tenant_epsilon_{spent,remaining}`), a no-op without an
     /// accountant.
     pub fn publish_epsilon_gauges(&self) {
-        if let Some(a) = &self.accountant {
+        if let Some(a) = self.admission.accountant() {
             let (spent, remaining) = crate::obs::serve_epsilon_gauges(self.name());
             spent.set(a.spent());
             remaining.set(a.remaining());
@@ -262,126 +266,28 @@ impl Tenant {
         noise: Noise,
     ) -> Result<WorkloadOutcome, ProtoError> {
         self.last_profile = RequestProfile::default();
-        let spec = self.build_spec(queries, noise)?;
-        let mut spec = spec;
-        if self.config.gated {
-            let report = lint_workload(&mut spec, &self.config.lint);
-            if report.denies() {
-                // Mirror `GatedEngine::execute` for query-attributed
-                // findings: the first deny finding to flag each index wins,
-                // entries ascend by index, and the finding's evidence rides
-                // along. Workload-level deny findings (empty `queries`,
-                // e.g. `SO-RECON`'s density verdict) follow in report
-                // order, carrying their message as the citable detail.
-                let mut offending: BTreeMap<usize, &so_analyze::Finding> = BTreeMap::new();
-                let denies = report
-                    .findings
-                    .iter()
-                    .filter(|f| f.severity == Severity::Deny);
-                for f in denies.clone() {
-                    for &q in &f.queries {
-                        offending.entry(q).or_insert(f);
-                    }
-                }
-                let mut refusals: Vec<WireRefusal> = offending
-                    .iter()
-                    .map(|(&q, &finding)| WireRefusal {
-                        query: Some(q),
-                        code: finding.lint.code().to_owned(),
-                        evidence: finding
-                            .evidence
-                            .as_ref()
-                            .filter(|ev| !ev.is_empty())
-                            .map(|ev| ev.to_string())
-                            .unwrap_or_default(),
-                    })
-                    .collect();
-                for f in denies.filter(|f| f.queries.is_empty()) {
-                    refusals.push(WireRefusal {
-                        query: None,
-                        code: f.lint.code().to_owned(),
-                        evidence: f
-                            .evidence
-                            .as_ref()
-                            .filter(|ev| !ev.is_empty())
-                            .map(|ev| ev.to_string())
-                            .unwrap_or_else(|| f.message.clone()),
-                    });
-                }
-                return Ok(self.refuse(&spec, refusals));
+        let mut spec = self.build_spec(queries, noise)?;
+        let report = if self.config.gated {
+            lint_workload(&mut spec, &self.config.lint)
+        } else {
+            LintReport::default()
+        };
+        // The tenant's dataset never mutates: every release charges v0.
+        match self.admission.decide(&spec, &report, 0) {
+            Ok(epsilon) => {
+                self.last_profile.epsilon_spent = epsilon;
+                let answers = self.answer(&spec);
+                self.workloads_answered += 1;
+                crate::obs::serve_metrics().workloads_answered.inc();
+                Ok(WorkloadOutcome::Answered(answers))
             }
-            if self.accountant.is_some() {
-                if let Some(refusals) = self.continual_budget_check(&spec) {
-                    return Ok(self.refuse(&spec, refusals));
-                }
-            }
+            Err(refusals) => Ok(self.refuse(&spec, refusals)),
         }
-        let answers = self.answer(&spec);
-        self.workloads_answered += 1;
-        crate::obs::serve_metrics().workloads_answered.inc();
-        Ok(WorkloadOutcome::Answered(answers))
     }
 
-    /// The `SO-CBUDGET` semantics of `IncrementalGate::execute_admitted`:
-    /// under an accountant every release must be pure DP, and the workload's
-    /// basic-composition sum must fit the remaining budget; admitted
-    /// workloads spend their ε.
-    fn continual_budget_check(&mut self, spec: &WorkloadSpec) -> Option<Vec<WireRefusal>> {
-        let acct = self.accountant.as_mut().expect("accountant attached");
-        let version = acct.version();
-        let non_dp: Vec<usize> = spec
-            .queries()
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !matches!(q.noise, Noise::PureDp { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        if !non_dp.is_empty() {
-            return Some(
-                non_dp
-                    .into_iter()
-                    .map(|q| WireRefusal {
-                        query: Some(q),
-                        code: CBUDGET_CODE.to_owned(),
-                        evidence: "non-DP release under continual accounting".to_owned(),
-                    })
-                    .collect(),
-            );
-        }
-        let costs: Vec<f64> = spec
-            .queries()
-            .iter()
-            .map(|q| match q.noise {
-                Noise::PureDp { epsilon } => epsilon,
-                _ => unreachable!("non-DP queries refused above"),
-            })
-            .collect();
-        let check = acct.precheck(&costs);
-        if !check.admissible {
-            let (total, remaining) = (check.total, check.remaining);
-            return Some(
-                (0..spec.len())
-                    .map(|q| WireRefusal {
-                        query: Some(q),
-                        code: CBUDGET_CODE.to_owned(),
-                        evidence: format!(
-                            "workload ε {total:.4} > remaining {remaining:.4} at v{version}"
-                        ),
-                    })
-                    .collect(),
-            );
-        }
-        for &eps in &costs {
-            let ok = acct.try_spend(eps);
-            debug_assert!(ok, "precheck admitted the workload");
-        }
-        self.last_profile.epsilon_spent = costs.iter().sum();
-        None
-    }
-
-    /// Records a refusal: audit entries in the gate's format, counters, and
-    /// the wire payload. No query of a refused workload executes.
-    fn refuse(&mut self, spec: &WorkloadSpec, refusals: Vec<WireRefusal>) -> WorkloadOutcome {
+    /// Records a refusal: audit entries, counters, and the wire payload. No
+    /// query of a refused workload executes.
+    fn refuse(&mut self, spec: &WorkloadSpec, refusals: Vec<Refusal>) -> WorkloadOutcome {
         self.workloads_refused += 1;
         crate::obs::serve_metrics().workloads_refused.inc();
         let mut codes: Vec<String> = refusals.iter().map(|r| r.code.clone()).collect();
@@ -396,20 +302,8 @@ impl Tenant {
         for r in &refusals {
             crate::obs::serve_refusals(&r.code).inc();
             crate::obs::serve_tenant_refusals(&r.code, &self.config.name).inc();
-            let evidence = if r.evidence.is_empty() {
-                String::new()
-            } else {
-                format!(" [{}]", r.evidence)
-            };
-            self.refusal_log.push(match r.query {
-                Some(q) => format!(
-                    "[gate: {}] query #{q}: {}{evidence}",
-                    r.code,
-                    render_query(spec, q)
-                ),
-                None => format!("[gate: {}] workload:{evidence}", r.code),
-            });
         }
+        admission::audit(&mut self.auditor, spec, &refusals);
         WorkloadOutcome::Refused(refusals)
     }
 
@@ -510,16 +404,17 @@ fn check_col(col: usize, n_cols: usize) -> Result<(), ProtoError> {
     Ok(())
 }
 
-fn render_query(spec: &WorkloadSpec, q: usize) -> String {
-    match &spec.queries()[q].kind {
-        QueryKind::Pred(id) => spec.pool().render(*id),
-        QueryKind::Subset(m) => format!("subset(|q| = {})", m.count_ones()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use so_analyze::CBUDGET_CODE;
+
+    fn trail(t: &Tenant) -> Vec<&str> {
+        t.auditor()
+            .trail()
+            .map(|r| r.description.as_str())
+            .collect()
+    }
 
     fn subset_attack(n: usize, m: usize, seed: u64) -> Vec<WireQuery> {
         let mut rng = seeded_rng(seed);
@@ -580,15 +475,29 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(t
-            .refusal_log()
+        assert!(trail(&t)
             .iter()
             .any(|e| e.starts_with("[gate: SO-RECON] workload:")));
-        assert!(t
-            .refusal_log()
+        assert!(trail(&t)
             .iter()
             .any(|e| e.starts_with("[gate: ") && e.contains("query #0: subset(|q| = ")));
         assert_eq!(t.workload_counts(), (0, 1));
+    }
+
+    #[test]
+    fn audit_trail_keeps_only_the_newest_records() {
+        let n = 24;
+        let mut t = Tenant::new(TenantConfig::gated("guarded", n, 7));
+        let queries = subset_attack(n, 4 * n, 11);
+        t.run_workload(&queries, Noise::Exact).unwrap();
+        let per_request = t.auditor().trail_len();
+        let runs = AUDIT_TRAIL_CAP / per_request + 2;
+        for _ in 1..runs {
+            t.run_workload(&queries, Noise::Exact).unwrap();
+        }
+        assert_eq!(t.auditor().trail_len(), AUDIT_TRAIL_CAP);
+        assert_eq!(t.auditor().queries_seen(), runs * per_request);
+        assert_eq!(t.workload_counts(), (0, runs as u64));
     }
 
     #[test]
@@ -636,6 +545,32 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!((t.budget().1 - 0.8).abs() < 1e-12, "refusal spends nothing");
+    }
+
+    /// The continual budget does not depend on linting: an ungated tenant
+    /// with a budget refuses exact releases and charges DP ones.
+    #[test]
+    fn ungated_tenant_with_a_budget_spends_epsilon() {
+        let mut t = Tenant::new(TenantConfig::ungated("open", 16, 3).with_continual_budget(1.0));
+        let q = vec![WireQuery::Subset(vec![0, 1]), WireQuery::Subset(vec![2])];
+        match t.run_workload(&q, Noise::Exact).unwrap() {
+            WorkloadOutcome::Refused(r) => {
+                let idx: Vec<Option<usize>> = r.iter().map(|r| r.query).collect();
+                assert_eq!(idx, vec![Some(0), Some(1)]);
+                assert!(r.iter().all(|r| r.code == CBUDGET_CODE), "{r:?}");
+                assert!(r[0].evidence.contains("non-DP"), "{:?}", r[0].evidence);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(t.budget().1, 0.0, "refusal spends nothing");
+        let dp = Noise::PureDp { epsilon: 0.3 };
+        assert!(matches!(
+            t.run_workload(&q, dp).unwrap(),
+            WorkloadOutcome::Answered(_)
+        ));
+        assert!((t.budget().1 - 0.6).abs() < 1e-12, "ε charged = ε released");
+        assert!((t.last_profile().epsilon_spent - 0.6).abs() < 1e-12);
+        assert_eq!(t.workload_counts(), (1, 1));
     }
 
     #[test]

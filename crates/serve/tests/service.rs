@@ -129,7 +129,7 @@ fn remote_lp_attack_reconstructs_open_and_is_refused_gated() {
         other => panic!("{other:?}"),
     }
     let log_len = server
-        .with_tenant("guarded", |t| t.refusal_log().len())
+        .with_tenant("guarded", |t| t.auditor().trail_len())
         .unwrap();
     assert!(log_len > 0, "refusals are audited server-side");
     server.shutdown();

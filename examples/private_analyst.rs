@@ -12,7 +12,7 @@
 use rand::Rng;
 use singling_out::data::rng::seeded_rng;
 use singling_out::dp::{
-    audit_dp_pair, DpAuditConfig, LaplaceCount, PrivacyAccountant, SparseVector, SvtAnswer,
+    audit_dp_pair, ContinualAccountant, DpAuditConfig, LaplaceCount, SparseVector, SvtAnswer,
 };
 
 fn main() {
@@ -29,9 +29,12 @@ fn main() {
         .collect();
 
     // 1. Open a privacy budget and release the headline count.
-    let mut accountant = PrivacyAccountant::new(1.0);
+    // The accountant keeps totals only; the session keeps its own labels.
+    let mut accountant = ContinualAccountant::new(1.0);
+    let mut ledger: Vec<(&str, f64)> = Vec::new();
     let count_mech = LaplaceCount::new(0.25);
-    assert!(accountant.try_spend("condition prevalence", 0.25));
+    assert!(accountant.try_spend(0.25));
+    ledger.push(("condition prevalence", 0.25));
     let true_count = condition.iter().filter(|&&b| b).count();
     let noisy = count_mech.release(true_count, &mut rng);
     println!(
@@ -43,7 +46,8 @@ fn main() {
     // 2. Screen 200 risk factors for "affects ≥ 200 patients" with ONE
     //    sparse-vector session: total cost ε = 0.5 regardless of how many
     //    factors are screened.
-    assert!(accountant.try_spend("SVT risk-factor screen", 0.5));
+    assert!(accountant.try_spend(0.5));
+    ledger.push(("SVT risk-factor screen", 0.5));
     let mut svt = SparseVector::new(200.0, 0.5, 5, seeded_rng(315));
     let mut flagged = Vec::new();
     for (j, &p) in risk_factor_prevalence.iter().enumerate() {
@@ -81,8 +85,7 @@ fn main() {
 
     println!(
         "\nledger: {:?}\ntotal ε spent: {:.2}",
-        accountant
-            .ledger()
+        ledger
             .iter()
             .map(|(l, e)| format!("{l} ({e})"))
             .collect::<Vec<_>>(),
