@@ -178,8 +178,7 @@ impl IncrementalGate {
 mod tests {
     use super::*;
     use so_data::{
-        AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, StorageEngine,
-        VersionedDataset,
+        AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, VersionedDataset,
     };
     use so_plan::shape::PredShape;
     use so_query::engine::WorkloadAnswer;
@@ -200,7 +199,7 @@ mod tests {
                 Value::Int((i % 25) as i64),
             ]);
         }
-        b.finish_with_engine(StorageEngine::Packed)
+        b.finish()
     }
 
     fn engine(n: usize) -> IncrementalEngine {

@@ -654,7 +654,7 @@ mod tests {
     fn predicate_lowering_builds_departure_cells_for_prefix_chains() {
         // Prefix descent of depth 4: refinement by queries yields the 5
         // departure-depth cells, not 2^4 assignments.
-        let bits = vec![true, false, true, true];
+        let bits = [true, false, true, true];
         let mut w = WorkloadSpec::new(100);
         for d in 0..=bits.len() {
             w.push_shape(

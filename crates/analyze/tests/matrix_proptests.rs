@@ -3,7 +3,7 @@
 //! the attack batteries always are, DP noise past the accuracy cut silences
 //! every matrix pass, and lint reports are invariant under query
 //! permutation and under the execution-tuning environment knobs
-//! (`SO_THREADS` / `SO_STORAGE` / `SO_SCHEDULE`) — the linter is static and
+//! (`SO_THREADS` / `SO_SCHEDULE`) — the linter is static and
 //! data-free, so nothing about *how* queries would execute may leak into
 //! its verdicts.
 
@@ -188,8 +188,8 @@ proptest! {
 }
 
 /// The execution-tuning environment knobs must not perturb lint verdicts:
-/// the linter never executes anything, so thread count, storage engine, and
-/// scheduler selection are invisible to it. (Single `#[test]`, sequential
+/// the linter never executes anything, so thread count and scheduler
+/// selection are invisible to it. (Single `#[test]`, sequential
 /// env mutation — env vars are process-global.)
 #[test]
 fn lint_reports_are_invariant_under_execution_env_knobs() {
@@ -211,22 +211,16 @@ fn lint_reports_are_invariant_under_execution_env_knobs() {
         out
     };
     let baseline = run_all();
-    for (threads, storage, schedule) in [
-        ("1", "packed", "static"),
-        ("8", "packed", "static"),
-        ("8", "unpacked", "static"),
-        ("8", "packed", "morsel"),
-    ] {
+    for (threads, schedule) in [("1", "static"), ("8", "static"), ("8", "morsel")] {
         std::env::set_var("SO_THREADS", threads);
-        std::env::set_var("SO_STORAGE", storage);
         std::env::set_var("SO_SCHEDULE", schedule);
         assert_eq!(
             run_all(),
             baseline,
-            "lint drifted under SO_THREADS={threads} SO_STORAGE={storage} SO_SCHEDULE={schedule}"
+            "lint drifted under SO_THREADS={threads} SO_SCHEDULE={schedule}"
         );
     }
-    for var in ["SO_THREADS", "SO_STORAGE", "SO_SCHEDULE"] {
+    for var in ["SO_THREADS", "SO_SCHEDULE"] {
         std::env::remove_var(var);
     }
 }

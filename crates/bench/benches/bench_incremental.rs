@@ -16,12 +16,11 @@
 //! [`so_query::CountingEngine`] run over the rebuilt relation — repair
 //! changes the cost of a scan, never its answer. Compaction is pushed out
 //! of reach (threshold 1 000) so the timing isolates repair, not one-time
-//! re-packing.
+//! base rebuilds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, StorageEngine, Value,
-    VersionedDataset,
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
 };
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
@@ -40,7 +39,7 @@ fn row(i: usize) -> Vec<Value> {
     ]
 }
 
-fn base_dataset(engine: StorageEngine) -> Dataset {
+fn base_dataset() -> Dataset {
     let schema = Schema::new(vec![
         AttributeDef::new("age", DataType::Int, AttributeRole::QuasiIdentifier),
         AttributeDef::new("dept", DataType::Int, AttributeRole::QuasiIdentifier),
@@ -49,7 +48,7 @@ fn base_dataset(engine: StorageEngine) -> Dataset {
     for i in 0..N_ROWS {
         b.push_row(row(i));
     }
-    b.finish_with_engine(engine)
+    b.finish()
 }
 
 /// The E1-shaped batch: every query is `age ∈ [lo, lo+9] ∧ dept = d`, so
@@ -82,7 +81,7 @@ fn deleted_live() -> Vec<usize> {
 /// Rebuilds the mutated logical relation as an immutable dataset: base
 /// rows minus the tombstoned live indices, then the delta rows appended —
 /// the exact live ordering `VersionedDataset` serves.
-fn rebuilt_dataset(engine: StorageEngine) -> Dataset {
+fn rebuilt_dataset() -> Dataset {
     let mut live: Vec<usize> = (0..N_ROWS).collect();
     for idx in deleted_live().into_iter().rev() {
         live.remove(idx);
@@ -98,18 +97,14 @@ fn rebuilt_dataset(engine: StorageEngine) -> Dataset {
     for i in 0..N_INSERTS {
         b.push_row(row(N_ROWS + i));
     }
-    b.finish_with_engine(engine)
+    b.finish()
 }
 
 fn bench_incremental_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_scan");
     group.sample_size(10);
 
-    let engine = StorageEngine::Packed;
-    let rebuilt = rebuilt_dataset(engine);
-    for col in 0..rebuilt.n_cols() {
-        let _ = rebuilt.packed_column(col);
-    }
+    let rebuilt = rebuilt_dataset();
     let n_live = rebuilt.n_rows();
     let spec = overlapping_spec(n_live);
     let plan = QueryPlan::from_spec(&spec);
@@ -121,7 +116,7 @@ fn bench_incremental_scan(c: &mut Criterion) {
     for &threads in &[1usize, 8] {
         // Incremental: 1M-row base + ≤1% mutations through the versioned
         // path, caches warmed by one pre-timing execution.
-        let data = VersionedDataset::with_compact_threshold(base_dataset(engine), 1_000);
+        let data = VersionedDataset::with_compact_threshold(base_dataset(), 1_000);
         let mut eng = IncrementalEngine::with_auditor(data, QueryAuditor::with_trail_cap(None, 64));
         eng.set_executor(ParallelExecutor::with_threads_and_policy(
             threads,

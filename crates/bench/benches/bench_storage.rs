@@ -1,24 +1,20 @@
-//! Criterion benches for the packed storage engine's scan path.
+//! Criterion benches for the columnar scan path.
 //!
-//! The `storage_scan` group records the packed-vs-uncompressed scan curve:
-//! an E1-shaped batch of overlapping conjunction queries executed over
-//! 1 000 000 and 10 000 000 rows at 1, 2, 4, and 8 worker threads, once per
-//! [`so_data::StorageEngine`]. Before timing anything, every configuration
-//! is asserted **bit-identical** to the uncompressed single-thread oracle —
-//! the packed engine's admission ticket is that it changes the cost of a
-//! scan, never its answer.
+//! The `storage_scan` group records the scan curve: an E1-shaped batch of
+//! overlapping conjunction queries executed over 1 000 000 and 10 000 000
+//! rows at 1, 2, 4, and 8 worker threads. Before timing anything, every
+//! configuration is asserted **bit-identical** to the serial plan's answers
+//! — the thread count changes the cost of a scan, never its answer.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, StorageEngine, Value,
-};
+use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
 use so_plan::workload::{Noise, WorkloadSpec};
 use so_plan::{NodeCache, ParallelExecutor, QueryPlan, SchedulePolicy};
 use so_query::predicate::{AllRowPredicate, IntRangePredicate, ValueEqualsPredicate};
 
 const N_QUERIES: usize = 200;
 
-fn dataset(n: usize, engine: StorageEngine) -> Dataset {
+fn dataset(n: usize) -> Dataset {
     let schema = Schema::new(vec![
         AttributeDef::new("age", DataType::Int, AttributeRole::QuasiIdentifier),
         AttributeDef::new("dept", DataType::Int, AttributeRole::QuasiIdentifier),
@@ -30,12 +26,12 @@ fn dataset(n: usize, engine: StorageEngine) -> Dataset {
             Value::Int((i % 25) as i64),
         ]);
     }
-    b.finish_with_engine(engine)
+    b.finish()
 }
 
 /// The E1-shaped workload of `bench_shard`, scaled down: every query is
 /// `age ∈ [lo, lo+9] ∧ dept = d`, so the batch shares its 65 atoms and the
-/// timing is dominated by the atom scans the storage engine serves.
+/// timing is dominated by the atom scans.
 fn overlapping_spec(n_rows: usize) -> WorkloadSpec {
     let mut spec = WorkloadSpec::new(n_rows);
     for q in 0..N_QUERIES {
@@ -66,54 +62,35 @@ fn bench_storage_scan(c: &mut Criterion) {
         let spec = overlapping_spec(n_rows);
         let plan = QueryPlan::from_spec(&spec);
 
-        // Uncompressed serial answers are the oracle every engine × thread
-        // configuration must reproduce bit-for-bit.
-        let oracle_ds = dataset(n_rows, StorageEngine::Uncompressed);
+        // Serial answers are the oracle every thread configuration must
+        // reproduce bit-for-bit.
+        let ds = dataset(n_rows);
         let mut oracle_cache = NodeCache::new();
-        let (oracle, _) = plan.execute(
-            spec.pool(),
-            &oracle_ds,
-            spec.evaluators(),
-            &mut oracle_cache,
-        );
+        let (oracle, _) = plan.execute(spec.pool(), &ds, spec.evaluators(), &mut oracle_cache);
         drop(oracle_cache);
+        let label = format!("{}m_rows", n_rows / 1_000_000);
 
-        for engine in [StorageEngine::Uncompressed, StorageEngine::Packed] {
-            let ds = dataset(n_rows, engine);
-            // Warm the lazy packed segments so the timing loop measures
-            // scans, not one-time packing.
-            for col in 0..ds.n_cols() {
-                let _ = ds.packed_column(col);
-            }
-            let label = format!("{}_{}m_rows", engine.name(), n_rows / 1_000_000);
+        for &threads in &[1usize, 2, 4, 8] {
+            let exec = ParallelExecutor::with_threads_and_policy(threads, SchedulePolicy::Auto);
+            let mut check = NodeCache::new();
+            let (out, _) = exec.execute(&plan, spec.pool(), &ds, spec.evaluators(), &mut check);
+            assert_eq!(
+                out, oracle,
+                "diverged from the oracle at {n_rows} rows, {threads} threads"
+            );
+            drop(check);
 
-            for &threads in &[1usize, 2, 4, 8] {
-                let exec = ParallelExecutor::with_threads_and_policy(threads, SchedulePolicy::Auto);
-                let mut check = NodeCache::new();
-                let (out, _) = exec.execute(&plan, spec.pool(), &ds, spec.evaluators(), &mut check);
-                assert_eq!(
-                    out, oracle,
-                    "{engine:?} diverged from the oracle at {n_rows} rows, {threads} threads"
-                );
-                drop(check);
-
-                group.bench_function(
-                    BenchmarkId::new(&label, format!("{threads}_threads")),
-                    |b| {
-                        b.iter(|| {
-                            let mut cache = NodeCache::new();
-                            let (outcomes, _) = exec.execute(
-                                &plan,
-                                spec.pool(),
-                                &ds,
-                                spec.evaluators(),
-                                &mut cache,
-                            );
-                            outcomes.len()
-                        });
-                    },
-                );
-            }
+            group.bench_function(
+                BenchmarkId::new(&label, format!("{threads}_threads")),
+                |b| {
+                    b.iter(|| {
+                        let mut cache = NodeCache::new();
+                        let (outcomes, _) =
+                            exec.execute(&plan, spec.pool(), &ds, spec.evaluators(), &mut cache);
+                        outcomes.len()
+                    });
+                },
+            );
         }
     }
 

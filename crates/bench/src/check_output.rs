@@ -116,7 +116,8 @@ pub fn check_bench_output(text: &str) -> Vec<String> {
         failures.push("no `time:` lines parsed".to_owned());
     }
     for t in &report.timings {
-        if !(t.mid_ns > 0.0) {
+        // `partial_cmp` is `None` for NaN, so a NaN midpoint fails too.
+        if t.mid_ns.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             failures.push(format!("non-positive timing for {}", t.id));
         }
     }
@@ -178,6 +179,15 @@ shard_scaling/100k/2_threads time:   [1.1545 ms 1.1959 ms 1.4618 ms]  (10 sample
         let failures = check_bench_output(&text);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("stale caveat"));
+    }
+
+    #[test]
+    fn nan_midpoint_fails_the_check() {
+        let mut text = minimal_valid();
+        text.push_str("bench/case  time: [1 ns NaN ns 2 ns]\n");
+        let failures = check_bench_output(&text);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("non-positive timing for bench/case"));
     }
 
     #[test]

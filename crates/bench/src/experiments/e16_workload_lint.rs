@@ -252,14 +252,14 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "E16b: gatekeeper-mode CountingEngine — flagged workloads refused before any answer",
         &["workload", "gate", "reason", "answered", "refused"],
     );
-    let runs: Vec<(&str, (Vec<Box<dyn RowPredicate>>, WorkloadSpec))> = vec![
+    let runs = [
         (
             "hash tracker pair / exact",
-            hash_tracker_pair(data.n_rows()),
+            hash_tracker_pair(data.n_rows()).1,
         ),
-        ("honest cross-tab / exact", honest_crosstab(data.n_rows())),
+        ("honest cross-tab / exact", honest_crosstab(data.n_rows()).1),
     ];
-    for (label, (_preds, w)) in runs {
+    for (label, w) in runs {
         let mut gated = GatedEngine::new(CountingEngine::new(&data, None), w, &cfg);
         let _ = gated.execute();
         let reason = gated

@@ -17,6 +17,12 @@
 //! stdout stays byte-identical across runs; every cost-profile cell on
 //! stdout is a deterministic count.
 
+// Seeds are spelled experiment id + phase (`0xE17_01` is E17's seed 1), so
+// the digit groups name the seed rather than group bytes; changing their
+// grouping would change nothing, and changing their values would change the
+// transcript.
+#![allow(clippy::unusual_byte_groupings)]
+
 use std::time::Instant;
 
 use so_data::rng::seeded_rng;

@@ -5,8 +5,8 @@
 //! lint memo across dataset versions.
 //!
 //! Everything here is deterministic arithmetic — no RNG, no clock — so the
-//! rendered tables are byte-identical across `SO_THREADS`, `SO_STORAGE`,
-//! and `SO_SCHEDULE`. CI replays this experiment under every configuration
+//! rendered tables are byte-identical across `SO_THREADS` and
+//! `SO_SCHEDULE`. CI replays this experiment under every configuration
 //! axis and diffs the output against the checked-in
 //! `experiments/e19_transcript.txt` artifact.
 
@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use so_analyze::{IncrementalGate, LintConfig};
 use so_data::{
-    AttributeDef, AttributeRole, DataType, DatasetBuilder, Schema, StorageEngine, Value,
-    VersionedDataset,
+    AttributeDef, AttributeRole, DataType, DatasetBuilder, Schema, Value, VersionedDataset,
 };
 use so_dp::ContinualAccountant;
 use so_plan::parallel::ParallelExecutor;
@@ -203,7 +202,7 @@ fn gate_engine(n_rows: usize) -> IncrementalEngine {
     for i in 0..n_rows {
         b.push_row(row(i));
     }
-    let ds = b.finish_with_engine(StorageEngine::from_env());
+    let ds = b.finish();
     IncrementalEngine::new(VersionedDataset::new(ds), None)
 }
 
@@ -218,7 +217,6 @@ fn replay_tables(scale: Scale) -> (Table, Table) {
     let cfg = ReplayConfig {
         threads: exec.threads(),
         policy: exec.policy(),
-        engine: StorageEngine::from_env(),
         compact_threshold: so_data::compact_threshold_from_env(),
     };
     let outcome = t.replay(&cfg);
@@ -233,7 +231,7 @@ fn replay_tables(scale: Scale) -> (Table, Table) {
 
     // From-scratch oracle: rebuild the live relation for every workload and
     // confirm the incremental answers bit-for-bit.
-    let oracle = t.oracle_answers(cfg.engine);
+    let oracle = t.oracle_answers();
     let identical = oracle == outcome.answers;
     let rescanned: usize = live_at_workloads(&t).iter().sum();
     let s = outcome.stats;

@@ -7,12 +7,11 @@
 //! every equivalence-class grouping) a tight scan over a homogeneous vector.
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::date::Date;
 use crate::interner::{Interner, Symbol};
 use crate::schema::{DataType, Schema};
-use crate::storage::{ColumnSegment, PackedColumn, StorageEngine};
 use crate::value::Value;
 
 /// Typed storage for one column.
@@ -100,16 +99,6 @@ impl ColumnData {
             ColumnData::Str(v) => ColumnData::Str(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Date(v) => ColumnData::Date(indices.iter().map(|&i| v[i]).collect()),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            ColumnData::Int(v) => std::mem::size_of_val(v.as_slice()),
-            ColumnData::Float(v) => std::mem::size_of_val(v.as_slice()),
-            ColumnData::Str(v) => std::mem::size_of_val(v.as_slice()),
-            ColumnData::Bool(v) => std::mem::size_of_val(v.as_slice()),
-            ColumnData::Date(v) => std::mem::size_of_val(v.as_slice()),
         }
     }
 }
@@ -227,75 +216,21 @@ impl Column {
     }
 }
 
-impl ColumnSegment for Column {
-    fn len(&self) -> usize {
-        self.missing.len()
-    }
-
-    fn dtype(&self) -> DataType {
-        self.data.dtype()
-    }
-
-    fn value(&self, row: usize) -> Value {
-        self.get(row)
-    }
-
-    fn is_missing(&self, row: usize) -> bool {
-        self.missing[row]
-    }
-
-    fn scan_bytes(&self) -> usize {
-        self.data.heap_bytes() + std::mem::size_of_val(self.missing.as_slice())
-    }
-}
-
 /// A columnar dataset: `n` rows over a fixed [`Schema`].
 ///
-/// The uncompressed typed columns are always present (they are the oracle
-/// representation and the source for raw-slice access); when the dataset's
-/// [`StorageEngine`] is [`StorageEngine::Packed`], compressed
-/// [`PackedColumn`] segments are built lazily, once per column, on first
-/// packed scan ([`Dataset::packed_column`]) and shared across clones.
-///
-/// Datasets are immutable once built except for [`Dataset::append_rows`],
-/// the mutation primitive behind the incremental engine's open delta
-/// segment. Every append bumps [`Dataset::version`] and installs a fresh
-/// packed-slot cache stamped with the new version, so a stale packed
-/// segment (encoded before the append) can never be served for the grown
-/// column: [`Dataset::packed_column`] refuses slots whose stamp does not
-/// match the dataset's current version.
+/// Scans read the typed column slices directly. Datasets are immutable once
+/// built except for [`Dataset::append_rows`], the mutation primitive behind
+/// the incremental engine's open delta segment. Every append bumps
+/// [`Dataset::version`], the staleness key of the incremental engine's
+/// per-segment caches.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     schema: Arc<Schema>,
     interner: Arc<Interner>,
     columns: Vec<Column>,
     n_rows: usize,
-    engine: StorageEngine,
     /// Monotone content version: 0 at build, +1 per [`Dataset::append_rows`].
     version: u64,
-    /// Lazily built packed segments, stamped with the dataset version they
-    /// were allocated for (see [`PackedSlots`]).
-    packed: Arc<PackedSlots>,
-}
-
-/// Version-keyed packed-segment cache: one lazy slot per column plus the
-/// dataset version the slots describe. `None` inside a cell records "this
-/// column has no packed form" (e.g. Float), so the encode attempt runs at
-/// most once. Mutation never writes through this structure — appends swap
-/// in a fresh `Arc<PackedSlots>` with a bumped stamp (copy-on-write), so
-/// clones of the pre-append dataset keep reading their own still-valid
-/// slots.
-#[derive(Debug)]
-struct PackedSlots {
-    version: u64,
-    slots: Vec<OnceLock<Option<PackedColumn>>>,
-}
-
-fn packed_slots(n_cols: usize, version: u64) -> Arc<PackedSlots> {
-    Arc::new(PackedSlots {
-        version,
-        slots: (0..n_cols).map(|_| OnceLock::new()).collect(),
-    })
 }
 
 impl Dataset {
@@ -360,63 +295,19 @@ impl Dataset {
         (0..self.n_cols()).map(|c| self.get(i, c)).collect()
     }
 
-    /// The storage engine scan kernels should use for this dataset.
-    pub fn engine(&self) -> StorageEngine {
-        self.engine
-    }
-
     /// Monotone content version: 0 when built, bumped by every
     /// [`Dataset::append_rows`]. Caches keyed on `(dataset identity,
-    /// version)` — the packed-segment slots here, the incremental engine's
-    /// per-segment selection caches above — use this to detect staleness.
+    /// version)` — the incremental engine's per-segment selection caches —
+    /// use this to detect staleness.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The same logical dataset under a different [`StorageEngine`].
-    /// Typed columns are shared-cloned; packed segments are rebuilt lazily
-    /// (a fresh cache, since the engines must never alias state).
-    pub fn with_engine(&self, engine: StorageEngine) -> Dataset {
-        Dataset {
-            schema: self.schema.clone(),
-            interner: self.interner.clone(),
-            n_rows: self.n_rows,
-            engine,
-            version: self.version,
-            packed: packed_slots(self.columns.len(), self.version),
-            columns: self.columns.clone(),
-        }
-    }
-
-    /// The packed segment for column `c`, building it on first use.
-    ///
-    /// Returns `None` when the engine is [`StorageEngine::Uncompressed`],
-    /// the column has no packed form (Float, pathological spans), or the
-    /// cached slots are stale (stamped with a version other than the
-    /// dataset's current one — impossible through the public API, where
-    /// [`Dataset::append_rows`] swaps in freshly stamped slots, but checked
-    /// anyway so a stale packed column is *never* served). Callers fall back
-    /// to the uncompressed oracle path on `None`. Thread-safe: concurrent
-    /// shard workers race at most on the one-time encode.
-    pub fn packed_column(&self, c: usize) -> Option<&PackedColumn> {
-        if !self.engine.is_packed() {
-            return None;
-        }
-        if self.packed.version != self.version {
-            return None;
-        }
-        self.packed.slots[c]
-            .get_or_init(|| PackedColumn::from_column(&self.columns[c]))
-            .as_ref()
     }
 
     /// Appends rows in place — the mutation primitive behind the
     /// incremental engine's open delta segment.
     ///
-    /// Bumps [`Dataset::version`] and installs a fresh packed-slot cache
-    /// stamped with the new version (copy-on-write: clones taken before the
-    /// append keep their own slots and their own version, so they are
-    /// unaffected). Because the interner is shared and append-only-frozen,
+    /// Bumps [`Dataset::version`]. Clones taken before the append keep their
+    /// own rows and their own version, so they are unaffected. Because the interner is shared and append-only-frozen,
     /// [`Value::Str`] cells must carry symbols already interned — derive
     /// them via [`Dataset::interner`] lookups or intern everything up front
     /// in the builder.
@@ -450,10 +341,9 @@ impl Dataset {
             self.n_rows += 1;
         }
         self.version += 1;
-        self.packed = packed_slots(self.columns.len(), self.version);
     }
 
-    /// An empty dataset over the same schema, interner, and engine — the
+    /// An empty dataset over the same schema and interner — the
     /// constructor for a fresh delta segment whose symbols resolve through
     /// the base dataset's interner.
     pub fn empty_like(&self) -> Dataset {
@@ -467,9 +357,7 @@ impl Dataset {
                 .map(|a| Column::new(a.dtype))
                 .collect(),
             n_rows: 0,
-            engine: self.engine,
             version: 0,
-            packed: packed_slots(self.schema.attrs().len(), 0),
         }
     }
 
@@ -485,10 +373,8 @@ impl Dataset {
         Dataset {
             schema: self.schema.clone(),
             interner: self.interner.clone(),
-            packed: packed_slots(columns.len(), 0),
             columns,
             n_rows: indices.len(),
-            engine: self.engine,
             version: 0,
         }
     }
@@ -616,26 +502,14 @@ impl DatasetBuilder {
         self.n_rows
     }
 
-    /// Freezes into an immutable [`Dataset`] under the process-default
-    /// storage engine ([`StorageEngine::from_env`], packed unless
-    /// `SO_STORAGE=unpacked`).
+    /// Freezes into an immutable [`Dataset`].
     pub fn finish(self) -> Dataset {
-        self.finish_with_engine(StorageEngine::from_env())
-    }
-
-    /// Freezes into an immutable [`Dataset`] under an explicit engine —
-    /// the constructor tests and benches use to compare the two layouts
-    /// deterministically, independent of the environment.
-    pub fn finish_with_engine(self, engine: StorageEngine) -> Dataset {
-        let packed = packed_slots(self.columns.len(), 0);
         Dataset {
             schema: self.schema,
             interner: Arc::new(self.interner),
             columns: self.columns,
             n_rows: self.n_rows,
-            engine,
             version: 0,
-            packed,
         }
     }
 }
@@ -765,7 +639,6 @@ mod tests {
         let sub = ds.select_rows(&[1, 3]);
         assert!(Arc::ptr_eq(ds.interner(), sub.interner()));
         assert!(Arc::ptr_eq(ds.schema(), sub.schema()));
-        assert_eq!(sub.engine(), ds.engine());
         // And a second derivation still shares it.
         let subsub = sub.select_rows(&[0]);
         assert!(Arc::ptr_eq(ds.interner(), subsub.interner()));
@@ -802,30 +675,9 @@ mod tests {
     }
 
     #[test]
-    fn storage_engine_plumbing() {
-        use crate::storage::StorageEngine;
-        let ds = toy_dataset().with_engine(StorageEngine::Uncompressed);
-        assert_eq!(ds.engine(), StorageEngine::Uncompressed);
-        // Uncompressed engine never exposes packed segments.
-        assert!(ds.packed_column(0).is_none());
-        let packed = ds.with_engine(StorageEngine::Packed);
-        assert_eq!(packed.engine(), StorageEngine::Packed);
-        let seg = packed.packed_column(1).expect("Int column packs");
-        use crate::storage::ColumnSegment as _;
-        for row in 0..packed.n_rows() {
-            assert_eq!(seg.value(row), packed.get(row, 1), "row {row}");
-        }
-        // Lazy cache: the same allocation answers the second call.
-        let again = packed.packed_column(1).unwrap();
-        assert!(std::ptr::eq(seg, again));
-    }
-
-    #[test]
-    fn append_rows_bumps_version_and_refreshes_packed_cache() {
-        use crate::storage::{ColumnSegment as _, StorageEngine};
-        let mut ds = toy_dataset().with_engine(StorageEngine::Packed);
+    fn append_rows_bumps_version() {
+        let mut ds = toy_dataset();
         assert_eq!(ds.version(), 0);
-        let seg0 = ds.packed_column(1).expect("Int column packs") as *const _;
         let f = ds.interner().get("F").unwrap();
         let covid = ds.interner().get("COVID").unwrap();
         ds.append_rows(&[vec![
@@ -837,29 +689,15 @@ mod tests {
         assert_eq!(ds.version(), 1);
         assert_eq!(ds.n_rows(), 5);
         assert_eq!(ds.get(4, 1), Value::Int(61));
-        // The packed segment is rebuilt for the new version and covers the
-        // appended row — the stale 4-row encoding is never served.
-        {
-            let seg1 = ds.packed_column(1).expect("still packs");
-            assert!(!std::ptr::eq(seg0, seg1));
-            assert_eq!(seg1.len(), 5);
-            for row in 0..5 {
-                assert_eq!(seg1.value(row), ds.get(row, 1), "row {row}");
-            }
-        }
-        let seg1 = ds.packed_column(1).unwrap() as *const _;
-        // Empty append is a no-op: version unchanged, cache stays warm.
+        // Empty append is a no-op: version unchanged.
         ds.append_rows(&[]);
         assert_eq!(ds.version(), 1);
-        assert!(std::ptr::eq(seg1, ds.packed_column(1).unwrap()));
     }
 
     #[test]
     fn append_rows_leaves_pre_append_clones_untouched() {
-        use crate::storage::StorageEngine;
-        let mut ds = toy_dataset().with_engine(StorageEngine::Packed);
+        let mut ds = toy_dataset();
         let before = ds.clone();
-        let before_seg = before.packed_column(1).unwrap() as *const _;
         let f = ds.interner().get("F").unwrap();
         ds.append_rows(&[vec![
             Value::Int(1),
@@ -867,12 +705,13 @@ mod tests {
             Value::Str(f),
             Value::Missing,
         ]]);
-        // Copy-on-write: the clone's rows, version, and packed slots are
-        // exactly what they were before the append.
+        // Copy-on-write: the clone's rows and version are exactly what they
+        // were before the append.
         assert_eq!(before.n_rows(), 4);
         assert_eq!(before.version(), 0);
-        assert!(std::ptr::eq(before_seg, before.packed_column(1).unwrap()));
+        assert_eq!(before.column(1).len(), 4);
         assert_eq!(ds.n_rows(), 5);
+        assert_eq!(ds.version(), 1);
     }
 
     #[test]
@@ -881,7 +720,6 @@ mod tests {
         let delta = ds.empty_like();
         assert_eq!(delta.n_rows(), 0);
         assert_eq!(delta.n_cols(), ds.n_cols());
-        assert_eq!(delta.engine(), ds.engine());
         assert!(Arc::ptr_eq(ds.interner(), delta.interner()));
         assert!(Arc::ptr_eq(ds.schema(), delta.schema()));
     }

@@ -41,7 +41,6 @@ pub mod rng;
 pub mod schema;
 pub mod selection;
 pub mod sharded;
-pub mod storage;
 pub mod value;
 pub mod versioned;
 
@@ -58,7 +57,6 @@ pub use ratings::{RatingsConfig, RatingsData};
 pub use schema::{AttributeDef, AttributeRole, DataType, Schema};
 pub use selection::SelectionVector;
 pub use sharded::{word_aligned_ranges, ShardedDataset};
-pub use storage::{ColumnSegment, PackedCodes, PackedColumn, StorageEngine};
 pub use value::Value;
 pub use versioned::{
     compact_threshold_from_env, MutationEffect, VersionedDataset, DEFAULT_COMPACT_THRESHOLD,

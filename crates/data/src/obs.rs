@@ -6,8 +6,7 @@
 //! mutations are applied serially by the owner of a
 //! [`VersionedDataset`](crate::versioned::VersionedDataset), so segment
 //! counts, compaction runs, and rewritten-row totals are invariant across
-//! `SO_THREADS` / `SO_STORAGE` / `SO_SCHEDULE` and may appear in diffed
-//! metric dumps.
+//! `SO_THREADS` / `SO_SCHEDULE` and may appear in diffed metric dumps.
 
 use std::sync::OnceLock;
 

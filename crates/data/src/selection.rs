@@ -69,25 +69,6 @@ impl SelectionVector {
         Self::from_fn(bits.len(), |i| bits[i])
     }
 
-    /// Builds directly from packed words (bit `i` of word `w` is row
-    /// `w * 64 + i`) — the constructor for kernels that already produce
-    /// word-shaped output, such as the packed storage scans. Tail bits at
-    /// positions `>= len` are masked to zero to uphold the invariant.
-    ///
-    /// # Panics
-    /// Panics if `words.len() != len.div_ceil(64)`.
-    pub fn from_words(words: Vec<u64>, len: usize) -> Self {
-        assert_eq!(
-            words.len(),
-            len.div_ceil(64),
-            "{} words cannot back {len} rows",
-            words.len()
-        );
-        let mut v = SelectionVector { words, len };
-        v.mask_tail();
-        v
-    }
-
     /// Columnar scan kernel: selects the non-missing rows of a typed column
     /// slice for which `f` holds. `vals` and `missing` run in row order.
     ///

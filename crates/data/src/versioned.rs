@@ -1,13 +1,13 @@
 //! Versioned mutable datasets: delta segments + tombstone bitmaps over an
-//! immutable packed base.
+//! immutable base.
 //!
 //! The paper's production story — and the attacks aimed at it — concern
 //! *live* databases that keep answering as rows arrive and depart. A
 //! [`VersionedDataset`] makes the repo's build-once [`Dataset`] mutable
 //! without giving up any of the properties the query stack relies on:
 //!
-//! * the **base** dataset stays immutable (its packed segments and cached
-//!   selections remain valid for as long as the base exists);
+//! * the **base** dataset stays immutable (its cached selections remain
+//!   valid for as long as the base exists);
 //! * **inserts** append to an open tail **delta segment** — a small
 //!   [`Dataset`] sharing the base's schema and interner — which freezes at
 //!   [`DELTA_SEGMENT_ROWS`] rows, after which a new tail opens;
@@ -17,7 +17,7 @@
 //!   [`SelectionVector::count_and_not`] against the mask;
 //! * once the delta count reaches the **compaction threshold**
 //!   (`SO_COMPACT_THRESHOLD`, default [`DEFAULT_COMPACT_THRESHOLD`]), the
-//!   live rows are gathered into a fresh packed base, tombstones are
+//!   live rows are gathered into a fresh base, tombstones are
 //!   cleared, and [`VersionedDataset::base_epoch`] is bumped so downstream
 //!   caches know the segment layout changed wholesale.
 //!
@@ -49,7 +49,7 @@ pub const COMPACT_ENV: &str = "SO_COMPACT_THRESHOLD";
 /// does, from an explicit optional string: a positive integer (surrounding
 /// whitespace tolerated) wins, anything else — unset, empty, garbage, or
 /// zero — falls back to [`DEFAULT_COMPACT_THRESHOLD`]. Mirrors the pinned
-/// `SO_THREADS`/`SO_STORAGE`/`SO_SCHEDULE` fallback treatment.
+/// `SO_THREADS`/`SO_SCHEDULE` fallback treatment.
 fn threshold_from(env: Option<&str>) -> usize {
     match env.and_then(|s| s.trim().parse::<usize>().ok()) {
         Some(t) if t >= 1 => t,
@@ -373,7 +373,6 @@ impl VersionedDataset {
 mod tests {
     use super::*;
     use crate::schema::{AttributeDef, AttributeRole, DataType, Schema};
-    use crate::storage::StorageEngine;
     use crate::DatasetBuilder;
     use std::sync::Arc;
 
@@ -392,7 +391,7 @@ mod tests {
                 Value::Int((i % 25) as i64),
             ]);
         }
-        b.finish_with_engine(StorageEngine::Packed)
+        b.finish()
     }
 
     /// Scalar oracle: count of live rows with `age` in `[lo, hi]`.

@@ -264,62 +264,6 @@ proptest! {
         prop_assert_eq!(va.or(&va.not()).count(), n);
     }
 
-    /// Packed segments are a lossless re-encoding: decoded cells, missing
-    /// flags, equality scans, and range scans all agree with the
-    /// uncompressed oracle column on arbitrary datasets (any dtype mix,
-    /// ~10% missing cells).
-    #[test]
-    fn packed_segments_agree_with_oracle((dtypes, rows) in arb_dataset()) {
-        use so_data::{ColumnSegment, PackedColumn};
-        let ds = build_dataset(&dtypes, &rows);
-        for c in 0..ds.n_cols() {
-            let col = ds.column(c);
-            let Some(packed) = PackedColumn::from_column(col) else {
-                // Only Float columns lack a packed form at these sizes.
-                prop_assert_eq!(dtypes[c], DataType::Float);
-                continue;
-            };
-            prop_assert_eq!(packed.len(), ds.n_rows());
-            prop_assert_eq!(ColumnSegment::dtype(&packed), dtypes[c]);
-            for row in 0..ds.n_rows() {
-                prop_assert_eq!(packed.value(row), ds.get(row, c), "row {}", row);
-                prop_assert_eq!(
-                    packed.is_missing(row),
-                    col.missing_mask()[row],
-                    "row {}", row
-                );
-            }
-            // Equality scan against every cell value (incl. Missing).
-            for target_row in 0..ds.n_rows() {
-                let target = ds.get(target_row, c);
-                let hits = packed.scan_value_equals(&target, 0..ds.n_rows());
-                for row in 0..ds.n_rows() {
-                    prop_assert_eq!(
-                        hits.get(row),
-                        ds.get(row, c) == target,
-                        "target row {} row {}", target_row, row
-                    );
-                }
-            }
-            // Range scan against the oracle row semantics.
-            if dtypes[c] == DataType::Int {
-                let vals = col.int_values().unwrap();
-                let (lo, hi) = (
-                    vals.iter().copied().min().unwrap_or(0),
-                    vals.iter().copied().max().unwrap_or(0).saturating_sub(1),
-                );
-                let hits = packed.scan_int_range(lo, hi, 0..ds.n_rows());
-                for row in 0..ds.n_rows() {
-                    let expect = ds
-                        .get(row, c)
-                        .as_int()
-                        .is_some_and(|v| v >= lo && v <= hi);
-                    prop_assert_eq!(hits.get(row), expect, "row {}", row);
-                }
-            }
-        }
-    }
-
     /// The transpose-based column_counts equals a per-bit count.
     #[test]
     fn column_counts_matches_per_bit(

@@ -75,26 +75,12 @@ pub fn eval_atom_bits(atom: &Atom, record: &BitVec) -> Option<bool> {
 /// Compiles an atom into a selection bitmap over the rows of `ds` — the
 /// columnar scan kernel. `None` when the atom has no tabular semantics.
 ///
-/// Typed atoms evaluate on the dataset's storage engine: when the column
-/// exposes a packed segment ([`Dataset::packed_column`]), `ValueEquals` and
-/// `IntRange` compare dictionary / frame-of-reference codes directly on the
-/// packed words; otherwise they read the uncompressed slice and pack 64
-/// rows per word ([`SelectionVector::from_column`]). Both paths select
-/// exactly the same rows — proptests pin the equivalence. Hash atoms walk
-/// rows (the hash is inherently row-at-a-time) but still emit a packed
+/// Typed atoms (`ValueEquals`, `IntRange`) read the column's typed slice
+/// and pack 64 rows per word ([`SelectionVector::from_column`]). Hash atoms
+/// walk rows (the hash is inherently row-at-a-time) but still emit a packed
 /// bitmap so downstream boolean combination stays word-parallel.
-///
-/// This full-range entry point also publishes the storage metrics
-/// (`so_storage_packed_scans_total`, bytes gauges) — once per scan, so
-/// serial plan execution and `so-query`'s single-predicate scans count
-/// identically. The shard-local [`scan_atom_range`] records nothing;
-/// sharded execution reports once per distinct merged atom instead.
 pub fn scan_atom(atom: &Atom, ds: &Dataset) -> Option<SelectionVector> {
-    let out = scan_atom_range(atom, ds, 0..ds.n_rows());
-    if out.is_some() {
-        crate::obs::record_packed_scan(atom, ds);
-    }
-    out
+    scan_atom_range(atom, ds, 0..ds.n_rows())
 }
 
 /// The shard-local form of [`scan_atom`]: the same kernel restricted to the
@@ -121,12 +107,6 @@ pub fn scan_atom_range(
     let len = rows.len();
     match atom {
         Atom::IntRange { col, lo, hi } => {
-            // Packed fast path: range-check frame-of-reference codes on the
-            // packed words (missing rows carry an out-of-range reserved
-            // code, so no mask pass is needed).
-            if let Some(packed) = ds.packed_column(*col) {
-                return Some(packed.scan_int_range(*lo, *hi, rows));
-            }
             let column = ds.column(*col);
             Some(match column.int_values() {
                 Some(vals) => SelectionVector::from_column(
@@ -138,15 +118,7 @@ pub fn scan_atom_range(
                 None => SelectionVector::none(len),
             })
         }
-        Atom::ValueEquals { col, value } => {
-            // Packed fast path: one dictionary lookup, then a code-equality
-            // sweep. Out-of-dictionary, wrong-type, and Missing targets all
-            // keep exact Value semantics (see PackedColumn::code_for).
-            if let Some(packed) = ds.packed_column(*col) {
-                return Some(packed.scan_value_equals(value, rows));
-            }
-            Some(scan_value_equals(ds, *col, value, rows))
-        }
+        Atom::ValueEquals { col, value } => Some(scan_value_equals(ds, *col, value, rows)),
         Atom::RowHash { .. } | Atom::KeyedHash { .. } => Some(SelectionVector::from_fn(len, |i| {
             eval_atom_row(atom, ds, rows.start + i).expect("hash atoms have tabular semantics")
         })),

@@ -61,7 +61,7 @@ pub mod workload;
 
 pub use ir::{Atom, ExprId, PredNode, PredPool};
 pub use noise::laplace_tail_quantile;
-pub use obs::{plan_metrics, registry_plan_stats, storage_metrics, PlanMetrics, StorageMetrics};
+pub use obs::{plan_metrics, registry_plan_stats, PlanMetrics};
 pub use parallel::{ParallelExecutor, SchedulePolicy, MORSEL_ROWS, SCHEDULE_ENV, THREADS_ENV};
 pub use plan::{NodeCache, PlanOutcome, PlanStats, QueryPlan};
 pub use predicate::{canonical_bytes, Predicate, RowPredicate};

@@ -14,10 +14,8 @@
 
 use std::sync::OnceLock;
 
-use so_data::Dataset;
-use so_obs::{global, Counter, Gauge, Histogram};
+use so_obs::{global, Counter, Histogram};
 
-use crate::ir::Atom;
 use crate::plan::PlanStats;
 
 /// Upper bounds (µs) for the execution / shard timing histograms.
@@ -80,59 +78,6 @@ pub fn plan_metrics() -> &'static PlanMetrics {
             shard_micros: r.histogram("so_plan_shard_micros", &MICRO_BOUNDS),
         }
     })
-}
-
-/// Cached handles to the storage-layer metrics: how often atom scans took
-/// the packed fast path, and how many packed bytes those scans streamed
-/// (versus the uncompressed bytes they *would* have streamed).
-///
-/// Both are recorded once per distinct atom evaluation — at the full-range
-/// [`crate::kernels::scan_atom`] on serial paths and once per merged atom
-/// node on sharded paths — never once per shard or morsel, so the totals
-/// are identical at every thread count and under every schedule (the CI
-/// determinism gate diffs metric dumps across `SO_THREADS` values).
-#[derive(Debug)]
-pub struct StorageMetrics {
-    /// `so_storage_packed_scans_total` — atom scans served by a packed
-    /// column segment.
-    pub packed_scans: Counter,
-    /// `so_storage_packed_scanned_bytes` — cumulative packed bytes those
-    /// scans read (gauge, monotone by construction).
-    pub packed_scanned_bytes: Gauge,
-    /// `so_storage_oracle_bytes_avoided` — cumulative uncompressed bytes
-    /// the same scans would have read through the oracle layout.
-    pub oracle_bytes_avoided: Gauge,
-}
-
-/// The storage layer's global metric handles, registered on first use.
-pub fn storage_metrics() -> &'static StorageMetrics {
-    static METRICS: OnceLock<StorageMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = global();
-        StorageMetrics {
-            packed_scans: r.counter("so_storage_packed_scans_total"),
-            packed_scanned_bytes: r.gauge("so_storage_packed_scanned_bytes"),
-            oracle_bytes_avoided: r.gauge("so_storage_oracle_bytes_avoided"),
-        }
-    })
-}
-
-/// Publishes one packed-path atom scan, if `atom` reads a column that the
-/// dataset exposes as a packed segment. Call exactly once per distinct atom
-/// evaluation (not per shard) to keep metric dumps thread-count-invariant.
-pub fn record_packed_scan(atom: &Atom, ds: &Dataset) {
-    let col = match atom {
-        Atom::IntRange { col, .. } | Atom::ValueEquals { col, .. } => *col,
-        _ => return,
-    };
-    if let Some(packed) = ds.packed_column(col) {
-        use so_data::ColumnSegment as _;
-        let m = storage_metrics();
-        m.packed_scans.inc();
-        m.packed_scanned_bytes.add(packed.packed_bytes() as f64);
-        m.oracle_bytes_avoided
-            .add(ds.column(col).scan_bytes() as f64);
-    }
 }
 
 /// Adds one execution's (or one engine fast path's) counters to the global

@@ -343,12 +343,8 @@ impl ParallelExecutor {
                     columns.iter_mut().map(|c| c.next().expect("shard result")),
                 );
                 debug_assert_eq!(merged.len(), ds.n_rows());
-                if let PredNode::Atom(atom) = pool.node(id) {
+                if matches!(pool.node(id), PredNode::Atom(_)) {
                     stats.atom_scans += 1;
-                    // Storage metrics count once per distinct merged atom —
-                    // never per shard/morsel — so totals match the serial
-                    // path at every thread count.
-                    crate::obs::record_packed_scan(atom, ds);
                 }
                 stats.nodes_evaluated += 1;
                 cache.insert(id, merged);
@@ -567,63 +563,56 @@ mod tests {
     }
 
     /// The cross-thread-count invariant the whole module exists for — under
-    /// every schedule policy, and for both storage engines.
+    /// every schedule policy.
     #[test]
     fn parallel_matches_serial_for_every_thread_count() {
-        use so_data::StorageEngine;
         for n in [1usize, 63, 64, 65, 127, 130, 1000] {
-            for engine in [StorageEngine::Uncompressed, StorageEngine::Packed] {
-                let data = ds(n).with_engine(engine);
-                let w = workload(n);
-                let plan = QueryPlan::from_spec(&w);
-                let mut serial_cache = NodeCache::new();
-                let (serial, serial_stats) =
-                    plan.execute(w.pool(), &data, w.evaluators(), &mut serial_cache);
-                for threads in 1..=8 {
-                    for policy in [
-                        SchedulePolicy::Auto,
-                        SchedulePolicy::Static,
-                        SchedulePolicy::Morsel,
-                    ] {
-                        let exec = ParallelExecutor::with_threads_and_policy(threads, policy)
-                            // 128-row morsels so small datasets really
-                            // exercise multi-morsel cursor claiming.
-                            .with_morsel_rows(128);
-                        let mut cache = NodeCache::new();
-                        let (out, stats) =
-                            exec.execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
-                        let ctx = format!("n={n} threads={threads} {policy:?} {engine:?}");
-                        assert_eq!(out, serial, "{ctx}");
-                        assert_eq!(stats, serial_stats, "{ctx}");
-                        // Cache contents are bit-identical too, not just counts.
-                        assert_eq!(cache.len(), serial_cache.len(), "{ctx}");
-                        for (id, bm) in &serial_cache {
-                            assert_eq!(cache[id], *bm, "{ctx} node {id:?}");
-                        }
+            let data = ds(n);
+            let w = workload(n);
+            let plan = QueryPlan::from_spec(&w);
+            let mut serial_cache = NodeCache::new();
+            let (serial, serial_stats) =
+                plan.execute(w.pool(), &data, w.evaluators(), &mut serial_cache);
+            for threads in 1..=8 {
+                for policy in [
+                    SchedulePolicy::Auto,
+                    SchedulePolicy::Static,
+                    SchedulePolicy::Morsel,
+                ] {
+                    let exec = ParallelExecutor::with_threads_and_policy(threads, policy)
+                        // 128-row morsels so small datasets really
+                        // exercise multi-morsel cursor claiming.
+                        .with_morsel_rows(128);
+                    let mut cache = NodeCache::new();
+                    let (out, stats) =
+                        exec.execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
+                    let ctx = format!("n={n} threads={threads} {policy:?}");
+                    assert_eq!(out, serial, "{ctx}");
+                    assert_eq!(stats, serial_stats, "{ctx}");
+                    // Cache contents are bit-identical too, not just counts.
+                    assert_eq!(cache.len(), serial_cache.len(), "{ctx}");
+                    for (id, bm) in &serial_cache {
+                        assert_eq!(cache[id], *bm, "{ctx} node {id:?}");
                     }
                 }
             }
         }
     }
 
-    /// Packed and uncompressed engines answer identically through the
-    /// parallel path (the engine only changes the scan representation).
+    /// Word-sized (64-row) morsels answer exactly as the serial plan does:
+    /// the smallest legal morsel maximises merge-barrier work.
     #[test]
-    fn packed_engine_matches_oracle_through_executor() {
-        use so_data::StorageEngine;
-        let base = ds(1000);
+    fn word_sized_morsels_match_serial() {
+        let data = ds(1000);
         let w = workload(1000);
         let plan = QueryPlan::from_spec(&w);
-        let mut results = Vec::new();
-        for engine in [StorageEngine::Uncompressed, StorageEngine::Packed] {
-            let data = base.with_engine(engine);
-            let mut cache = NodeCache::new();
-            let (out, stats) = ParallelExecutor::with_threads_and_policy(4, SchedulePolicy::Morsel)
-                .with_morsel_rows(64)
-                .execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
-            results.push((out, stats));
-        }
-        assert_eq!(results[0], results[1]);
+        let mut serial_cache = NodeCache::new();
+        let serial = plan.execute(w.pool(), &data, w.evaluators(), &mut serial_cache);
+        let mut cache = NodeCache::new();
+        let parallel = ParallelExecutor::with_threads_and_policy(4, SchedulePolicy::Morsel)
+            .with_morsel_rows(64)
+            .execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
+        assert_eq!(parallel, serial);
     }
 
     /// Morsel partitioning: word-aligned starts, exact coverage, pure

@@ -1,22 +1,19 @@
-//! Packed-vs-oracle equivalence properties for the storage-aware kernels.
+//! Columnar scan kernels against the row-at-a-time semantics.
 //!
-//! The packed engine is only admissible because it is *invisible* in the
-//! answers: for every atom, dataset, and row range, the packed scan path
-//! must select exactly the rows the uncompressed oracle selects, which in
-//! turn must agree with the row-at-a-time [`eval_atom_row`] semantics.
-//! These properties pin the tricky corners of `scan_value_equals`:
+//! For every atom, dataset, and row range, the bitmap scan must select
+//! exactly the rows [`eval_atom_row`] selects, and a shard-local range scan
+//! must be a word-aligned slice of the full scan. These properties also pin
+//! the tricky corners of `scan_value_equals`:
 //!
 //! * `Value::Missing` selects exactly the masked rows;
 //! * `Float` equality follows `total_cmp` (NaN is self-equal, `-0.0` and
-//!   `+0.0` are distinct) — floats never pack, so the fallback must kick in
-//!   seamlessly under the packed engine;
+//!   `+0.0` are distinct);
 //! * a target whose type does not match the column selects nothing.
 
 use proptest::prelude::*;
 
 use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Date, Schema, StorageEngine,
-    Value,
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Date, Schema, Value,
 };
 use so_plan::kernels::{eval_atom_row, scan_atom, scan_atom_range};
 use so_plan::Atom;
@@ -73,7 +70,7 @@ fn arb_row() -> impl Strategy<Value = RowSpec> {
         })
 }
 
-fn build(rows: &[RowSpec], engine: StorageEngine) -> Dataset {
+fn build(rows: &[RowSpec]) -> Dataset {
     let schema = Schema::new(vec![
         AttributeDef::new("i", DataType::Int, AttributeRole::QuasiIdentifier),
         AttributeDef::new("f", DataType::Float, AttributeRole::QuasiIdentifier),
@@ -95,7 +92,7 @@ fn build(rows: &[RowSpec], engine: StorageEngine) -> Dataset {
                 .map_or(Value::Missing, |d| Value::Date(Date::from_day_number(d))),
         ]);
     }
-    b.finish_with_engine(engine)
+    b.finish()
 }
 
 /// Every ValueEquals/IntRange target this schema can be probed with,
@@ -115,7 +112,7 @@ fn probe_atoms(ds: &Dataset) -> Vec<Atom> {
             Value::Int(7),
             Value::Float(-0.0),
             Value::Float(0.0),
-            nan.clone(),
+            nan,
             Value::Str(sym),
             Value::Str(absent_sym),
             Value::Bool(true),
@@ -131,7 +128,7 @@ fn probe_atoms(ds: &Dataset) -> Vec<Atom> {
         atoms.push(Atom::IntRange { col, lo: 5, hi: -5 }); // inverted
     }
     // Every value that actually occurs in the dataset is also a target, so
-    // dictionary hits are exercised, not just misses.
+    // hits are exercised, not just misses.
     for row in 0..ds.n_rows().min(8) {
         for col in 0..ds.n_cols() {
             atoms.push(Atom::ValueEquals {
@@ -146,37 +143,35 @@ fn probe_atoms(ds: &Dataset) -> Vec<Atom> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// For every probe atom: packed scan == oracle scan == row oracle,
-    /// bit for bit, on arbitrary datasets with ~10% missing cells.
+    /// For every probe atom: bitmap scan == row oracle, bit for bit, on
+    /// arbitrary datasets with ~10% missing cells.
     #[test]
-    fn packed_scans_equal_oracle_and_row_semantics(
+    fn scans_equal_row_semantics(
         rows in proptest::collection::vec(arb_row(), 0..120),
     ) {
-        let oracle = build(&rows, StorageEngine::Uncompressed);
-        let packed = build(&rows, StorageEngine::Packed);
-        for atom in probe_atoms(&oracle) {
-            let a = scan_atom(&atom, &oracle).expect("tabular atom");
-            let b = scan_atom(&atom, &packed).expect("tabular atom");
-            prop_assert_eq!(&a, &b, "atom {:?}", &atom);
-            for row in 0..oracle.n_rows() {
+        let ds = build(&rows);
+        for atom in probe_atoms(&ds) {
+            let a = scan_atom(&atom, &ds).expect("tabular atom");
+            prop_assert_eq!(a.len(), ds.n_rows(), "atom {:?}", &atom);
+            for row in 0..ds.n_rows() {
                 prop_assert_eq!(
                     Some(a.get(row)),
-                    eval_atom_row(&atom, &oracle, row),
+                    eval_atom_row(&atom, &ds, row),
                     "atom {:?} row {}", &atom, row
                 );
             }
         }
     }
 
-    /// Shard-local packed scans hold exactly the word-aligned slices of the
-    /// full packed scan — the property the parallel merge relies on.
+    /// Shard-local scans hold exactly the word-aligned slices of the full
+    /// scan — the property the parallel merge relies on.
     #[test]
-    fn packed_range_scans_are_aligned_slices(
+    fn range_scans_are_aligned_slices(
         rows in proptest::collection::vec(arb_row(), 65..200),
         cut_words in 1usize..3,
     ) {
-        let packed = build(&rows, StorageEngine::Packed);
-        let n = packed.n_rows();
+        let ds = build(&rows);
+        let n = ds.n_rows();
         // Clamp to a word boundary within the dataset (n >= 65 here).
         let cut = (cut_words * 64).min(n / 64 * 64);
         for atom in [
@@ -184,9 +179,9 @@ proptest! {
             Atom::ValueEquals { col: 0, value: Value::Int(3) },
             Atom::ValueEquals { col: 2, value: Value::Missing },
         ] {
-            let full = scan_atom(&atom, &packed).expect("tabular");
-            let head = scan_atom_range(&atom, &packed, 0..cut).expect("tabular");
-            let tail = scan_atom_range(&atom, &packed, cut..n).expect("tabular");
+            let full = scan_atom(&atom, &ds).expect("tabular");
+            let head = scan_atom_range(&atom, &ds, 0..cut).expect("tabular");
+            let tail = scan_atom_range(&atom, &ds, cut..n).expect("tabular");
             prop_assert_eq!(&head, &full.slice_aligned(0..cut), "atom {:?}", &atom);
             prop_assert_eq!(&tail, &full.slice_aligned(cut..n), "atom {:?}", &atom);
         }
@@ -194,7 +189,7 @@ proptest! {
 }
 
 #[test]
-fn float_total_cmp_corners_under_both_engines() {
+fn float_total_cmp_missing_and_mismatch_corners() {
     let rows: Vec<RowSpec> = [f64::NAN, -0.0, 0.0, 1.5, f64::NAN]
         .into_iter()
         .map(|f| RowSpec {
@@ -205,57 +200,55 @@ fn float_total_cmp_corners_under_both_engines() {
             date: None,
         })
         .collect();
-    for engine in [StorageEngine::Uncompressed, StorageEngine::Packed] {
-        let ds = build(&rows, engine);
-        // NaN is self-equal under total_cmp: both NaN rows selected.
-        let nan = scan_atom(
-            &Atom::ValueEquals {
-                col: 1,
-                value: Value::Float(f64::NAN),
-            },
-            &ds,
-        )
-        .unwrap();
-        assert_eq!(nan.indices(), vec![0, 4], "{engine:?}");
-        // -0.0 and +0.0 are distinct values.
-        let neg = scan_atom(
-            &Atom::ValueEquals {
-                col: 1,
-                value: Value::Float(-0.0),
-            },
-            &ds,
-        )
-        .unwrap();
-        let pos = scan_atom(
-            &Atom::ValueEquals {
-                col: 1,
-                value: Value::Float(0.0),
-            },
-            &ds,
-        )
-        .unwrap();
-        assert_eq!(neg.indices(), vec![1], "{engine:?}");
-        assert_eq!(pos.indices(), vec![2], "{engine:?}");
-        // Str-typed probe of a Float column selects nothing; Missing
-        // selects exactly the masked rows (here: the whole str column).
-        let sym = ds.interner().get("cat").unwrap();
-        let mismatched = scan_atom(
-            &Atom::ValueEquals {
-                col: 1,
-                value: Value::Str(sym),
-            },
-            &ds,
-        )
-        .unwrap();
-        assert!(mismatched.is_none(), "{engine:?}");
-        let missing = scan_atom(
-            &Atom::ValueEquals {
-                col: 2,
-                value: Value::Missing,
-            },
-            &ds,
-        )
-        .unwrap();
-        assert_eq!(missing.count(), ds.n_rows(), "{engine:?}");
-    }
+    let ds = build(&rows);
+    // NaN is self-equal under total_cmp: both NaN rows selected.
+    let nan = scan_atom(
+        &Atom::ValueEquals {
+            col: 1,
+            value: Value::Float(f64::NAN),
+        },
+        &ds,
+    )
+    .unwrap();
+    assert_eq!(nan.indices(), vec![0, 4]);
+    // -0.0 and +0.0 are distinct values.
+    let neg = scan_atom(
+        &Atom::ValueEquals {
+            col: 1,
+            value: Value::Float(-0.0),
+        },
+        &ds,
+    )
+    .unwrap();
+    let pos = scan_atom(
+        &Atom::ValueEquals {
+            col: 1,
+            value: Value::Float(0.0),
+        },
+        &ds,
+    )
+    .unwrap();
+    assert_eq!(neg.indices(), vec![1]);
+    assert_eq!(pos.indices(), vec![2]);
+    // Str-typed probe of a Float column selects nothing; Missing
+    // selects exactly the masked rows (here: the whole str column).
+    let sym = ds.interner().get("cat").unwrap();
+    let mismatched = scan_atom(
+        &Atom::ValueEquals {
+            col: 1,
+            value: Value::Str(sym),
+        },
+        &ds,
+    )
+    .unwrap();
+    assert!(mismatched.is_none());
+    let missing = scan_atom(
+        &Atom::ValueEquals {
+            col: 2,
+            value: Value::Missing,
+        },
+        &ds,
+    )
+    .unwrap();
+    assert_eq!(missing.count(), ds.n_rows());
 }

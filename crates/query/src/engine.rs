@@ -23,10 +23,7 @@
 //! morsel-driven work stealing (`SO_SCHEDULE`) — each worker scans its
 //! ranges, and bitmaps merge in range order, so answers are bit-identical
 //! to serial execution at every thread count under either schedule. Atom
-//! scans themselves run on the dataset's [`so_data::StorageEngine`]
-//! (`SO_STORAGE`): packed dictionary / frame-of-reference segments by
-//! default, the uncompressed oracle layout on request, with identical
-//! answers either way.
+//! scans read the dataset's typed column slices directly.
 
 use std::collections::HashMap;
 

@@ -26,7 +26,7 @@
 //!
 //! Per-segment plan execution goes through the same
 //! [`ParallelExecutor`] as everything else, so answers stay bit-identical
-//! across `SO_THREADS` / `SO_STORAGE` / `SO_SCHEDULE` — the property the
+//! across `SO_THREADS` / `SO_SCHEDULE` — the property the
 //! [`MutationTranscript`](crate::transcript::MutationTranscript) proptests
 //! and the E19 CI job enforce.
 //!
@@ -53,7 +53,7 @@ struct SegmentCache {
 
 /// Deterministic tallies of what the incremental engine did. Every field is
 /// a pure function of the mutation/workload sequence — invariant across
-/// thread counts, storage engines, and schedules — so transcripts may print
+/// thread counts and schedules — so transcripts may print
 /// them verbatim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
@@ -373,9 +373,7 @@ mod tests {
     use super::*;
     use crate::engine::{count_dataset_scalar, CountingEngine};
     use crate::predicate::RowPredicate;
-    use so_data::{
-        AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, StorageEngine,
-    };
+    use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema};
     use so_plan::parallel::SchedulePolicy;
     use so_plan::shape::PredShape;
     use so_plan::workload::Noise;
@@ -396,7 +394,7 @@ mod tests {
                 Value::Int((i % 25) as i64),
             ]);
         }
-        b.finish_with_engine(StorageEngine::Packed)
+        b.finish()
     }
 
     fn workload(n_rows: usize) -> WorkloadSpec {
@@ -582,37 +580,27 @@ mod tests {
     }
 
     #[test]
-    fn answers_are_identical_across_threads_engines_and_schedules() {
+    fn answers_are_identical_across_threads_and_schedules() {
         let mut reference: Option<Vec<WorkloadAnswer>> = None;
-        for &engine in &[StorageEngine::Packed, StorageEngine::Uncompressed] {
-            for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
-                for threads in [1usize, 2, 4, 8] {
-                    let mut b = DatasetBuilder::new(schema());
-                    for i in 0..500 {
-                        b.push_row(vec![
-                            Value::Int((i % 90) as i64),
-                            Value::Int((i % 25) as i64),
-                        ]);
-                    }
-                    let ds = b.finish_with_engine(engine);
-                    let mut eng = IncrementalEngine::new(
-                        VersionedDataset::with_compact_threshold(ds, 2),
-                        None,
-                    );
-                    eng.set_executor(ParallelExecutor::with_threads_and_policy(threads, policy));
-                    eng.insert_rows(&[vec![Value::Int(20), Value::Int(3)]]);
-                    eng.delete_live(&[0, 250]);
-                    eng.insert_rows(&[vec![Value::Missing, Value::Int(3)]]);
-                    let spec = workload(eng.dataset().n_live());
-                    let mut all = eng.execute_workload(&spec).answers;
-                    all.extend(eng.execute_workload(&spec).answers);
-                    match &reference {
-                        None => reference = Some(all),
-                        Some(r) => assert_eq!(
-                            &all, r,
-                            "answers diverged at {threads} threads / {policy:?} / {engine:?}"
-                        ),
-                    }
+        for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
+            for threads in [1usize, 2, 4, 8] {
+                let mut eng = IncrementalEngine::new(
+                    VersionedDataset::with_compact_threshold(base(500), 2),
+                    None,
+                );
+                eng.set_executor(ParallelExecutor::with_threads_and_policy(threads, policy));
+                eng.insert_rows(&[vec![Value::Int(20), Value::Int(3)]]);
+                eng.delete_live(&[0, 250]);
+                eng.insert_rows(&[vec![Value::Missing, Value::Int(3)]]);
+                let spec = workload(eng.dataset().n_live());
+                let mut all = eng.execute_workload(&spec).answers;
+                all.extend(eng.execute_workload(&spec).answers);
+                match &reference {
+                    None => reference = Some(all),
+                    Some(r) => assert_eq!(
+                        &all, r,
+                        "answers diverged at {threads} threads / {policy:?}"
+                    ),
                 }
             }
         }

@@ -4,8 +4,8 @@
 //! A [`MutationTranscript`] is pure data — a starting relation plus an
 //! ordered op list — and [`MutationTranscript::replay`] is a pure function
 //! of (transcript, [`ReplayConfig`]): the textual log and the per-workload
-//! answers it produces must be *byte-identical* across thread counts,
-//! storage engines, and schedule policies, and the answers must further be
+//! answers it produces must be *byte-identical* across thread counts and
+//! schedule policies, and the answers must further be
 //! identical across compaction thresholds (the log may differ there, since
 //! it narrates segment layout). The E19 experiment checks a transcript of
 //! this shape into the repo and CI replays it under every configuration
@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use so_data::{Dataset, DatasetBuilder, Schema, StorageEngine, Value, VersionedDataset};
+use so_data::{Dataset, DatasetBuilder, Schema, Value, VersionedDataset};
 use so_plan::parallel::{ParallelExecutor, SchedulePolicy};
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
@@ -68,7 +68,7 @@ pub struct MutationTranscript {
 }
 
 /// The explicit execution configuration for a replay. Env knobs
-/// (`SO_THREADS`, `SO_STORAGE`, `SO_SCHEDULE`, `SO_COMPACT_THRESHOLD`) are
+/// (`SO_THREADS`, `SO_SCHEDULE`, `SO_COMPACT_THRESHOLD`) are
 /// process-global; tests sweep configurations by passing them here instead.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayConfig {
@@ -76,8 +76,6 @@ pub struct ReplayConfig {
     pub threads: usize,
     /// Shard schedule (static ranges or morsel stealing).
     pub policy: SchedulePolicy,
-    /// Columnar storage engine for the base and every delta segment.
-    pub engine: StorageEngine,
     /// Delta-segment count that triggers compaction.
     pub compact_threshold: usize,
 }
@@ -87,7 +85,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             threads: 1,
             policy: SchedulePolicy::Static,
-            engine: StorageEngine::Packed,
             compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
         }
     }
@@ -97,7 +94,7 @@ impl Default for ReplayConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayOutcome {
     /// Human-readable narration, one line per op plus a trailing summary.
-    /// Byte-identical across threads, engines, and schedules for a fixed
+    /// Byte-identical across threads and schedules for a fixed
     /// compaction threshold.
     pub log: String,
     /// Per-workload answers, in op order.
@@ -114,7 +111,7 @@ impl MutationTranscript {
     /// Replays the transcript through an [`IncrementalEngine`] under an
     /// explicit configuration.
     pub fn replay(&self, cfg: &ReplayConfig) -> ReplayOutcome {
-        let ds = self.build_initial(cfg.engine);
+        let ds = self.build_initial();
         let mut eng = IncrementalEngine::new(
             VersionedDataset::with_compact_threshold(ds, cfg.compact_threshold),
             None,
@@ -195,7 +192,7 @@ impl MutationTranscript {
     /// immutable [`Dataset`] of the current live rows and executing the
     /// workload through [`CountingEngine`]. Shares no code with the
     /// incremental path beyond the scan kernels themselves.
-    pub fn oracle_answers(&self, engine: StorageEngine) -> Vec<Vec<WorkloadAnswer>> {
+    pub fn oracle_answers(&self) -> Vec<Vec<WorkloadAnswer>> {
         let mut live: Vec<Vec<Value>> = self.initial.clone();
         let mut answers = Vec::new();
         for op in &self.ops {
@@ -216,7 +213,7 @@ impl MutationTranscript {
                     for row in &live {
                         b.push_row(row.clone());
                     }
-                    let ds = b.finish_with_engine(engine);
+                    let ds = b.finish();
                     let spec = build_workload(ds.n_rows(), shapes, *noise);
                     let mut eng = CountingEngine::new(&ds, None);
                     answers.push(eng.execute_workload(&spec).answers);
@@ -242,12 +239,12 @@ impl MutationTranscript {
         live
     }
 
-    fn build_initial(&self, engine: StorageEngine) -> Dataset {
+    fn build_initial(&self) -> Dataset {
         let mut b = DatasetBuilder::new(self.schema.clone());
         for row in &self.initial {
             b.push_row(row.clone());
         }
-        b.finish_with_engine(engine)
+        b.finish()
     }
 }
 
@@ -335,24 +332,21 @@ mod tests {
         let reference = t.replay(&ReplayConfig::default());
         assert_eq!(
             reference.answers,
-            t.oracle_answers(StorageEngine::Packed),
+            t.oracle_answers(),
             "incremental replay diverged from the from-scratch oracle"
         );
         assert_eq!(reference.n_live, t.final_live_rows());
-        for &engine in &[StorageEngine::Packed, StorageEngine::Uncompressed] {
-            for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
-                for threads in [1usize, 3, 8] {
-                    let out = t.replay(&ReplayConfig {
-                        threads,
-                        policy,
-                        engine,
-                        compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
-                    });
-                    assert_eq!(
-                        out, reference,
-                        "replay diverged at {threads} threads / {policy:?} / {engine:?}"
-                    );
-                }
+        for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
+            for threads in [1usize, 3, 8] {
+                let out = t.replay(&ReplayConfig {
+                    threads,
+                    policy,
+                    compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
+                });
+                assert_eq!(
+                    out, reference,
+                    "replay diverged at {threads} threads / {policy:?}"
+                );
             }
         }
     }

@@ -86,11 +86,9 @@ use so_query::{
 
 /// Arbitrary two-column dataset (Int with missings, Str with missings).
 /// Row counts range over 1..200, so tail words with `n % 64 != 0` are the
-/// common case and exact multiples of 64 are exercised too. Built with
-/// [`DatasetBuilder::finish`], so it runs on whatever storage engine the
-/// environment selects (packed by default).
+/// common case and exact multiples of 64 are exercised too.
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
-    arb_rows().prop_map(|rows| build_dataset(rows, None))
+    arb_rows().prop_map(build_dataset)
 }
 
 type RowRecipe = (Option<i64>, Option<usize>);
@@ -106,7 +104,7 @@ fn arb_rows() -> impl Strategy<Value = Vec<RowRecipe>> {
     )
 }
 
-fn build_dataset(rows: Vec<RowRecipe>, engine: Option<so_data::StorageEngine>) -> Dataset {
+fn build_dataset(rows: Vec<RowRecipe>) -> Dataset {
     let schema = Schema::new(vec![
         AttributeDef::new("a", DataType::Int, AttributeRole::QuasiIdentifier),
         AttributeDef::new("s", DataType::Str, AttributeRole::Sensitive),
@@ -119,10 +117,7 @@ fn build_dataset(rows: Vec<RowRecipe>, engine: Option<so_data::StorageEngine>) -
             s.map_or(Value::Missing, |i| Value::Str(syms[i])),
         ]);
     }
-    match engine {
-        Some(e) => b.finish_with_engine(e),
-        None => b.finish(),
-    }
+    b.finish()
 }
 
 /// The oracle bitmap: evaluate `eval_row` on every row.
@@ -373,60 +368,10 @@ proptest! {
         prop_assert_eq!(&a.answers, &b.answers, "threads={}", threads);
         prop_assert_eq!(&a.targets, &b.targets, "threads={}", threads);
         prop_assert_eq!(a.stats, b.stats, "threads={}", threads);
-        // The single-query path shards too: same count, same cache reuse.
+        // The single-query path shards too: same count, uncached and then
+        // from the cache.
         let probe = IntRangePredicate { col: 0, lo: -10, hi: 10 };
         prop_assert_eq!(serial.count(&probe), parallel.count(&probe));
-    }
-
-    /// Engine answers are invariant to the storage engine: the same rows
-    /// served by a packed-layout engine and an uncompressed-layout engine
-    /// produce identical answers, targets, and execution stats — the packed
-    /// fast path must be unobservable from the query interface.
-    #[test]
-    fn engine_answers_are_storage_engine_invariant(
-        rows in arb_rows(),
-        entries in arb_entries(),
-        threads in 1usize..5,
-    ) {
-        use so_data::StorageEngine;
-        let oracle_ds = build_dataset(rows.clone(), Some(StorageEngine::Uncompressed));
-        let packed_ds = build_dataset(rows, Some(StorageEngine::Packed));
-        let preds: Vec<Box<dyn RowPredicate>> = entries
-            .iter()
-            .map(|e| entry_predicate(e, &entries))
-            .collect();
-        let build_spec = |ds: &Dataset| {
-            let mut spec = WorkloadSpec::new(ds.n_rows());
-            for (e, p) in entries.iter().zip(&preds) {
-                match e {
-                    Entry::Opaque { modulus } => {
-                        let m = *modulus;
-                        spec.push_predicate_arc(
-                            Arc::new(FnRowPredicate::new("mod-test", move |ds, r| {
-                                matches!(ds.get(r, 0), Value::Int(v) if v.rem_euclid(m) == 0)
-                            })),
-                            Noise::Exact,
-                        );
-                    }
-                    _ => {
-                        spec.push_predicate(p.as_ref(), Noise::Exact);
-                    }
-                }
-            }
-            spec
-        };
-        let mut oracle_engine = CountingEngine::new(&oracle_ds, None);
-        oracle_engine.set_threads(1);
-        let a = oracle_engine.execute_workload(&build_spec(&oracle_ds));
-        let mut packed_engine = CountingEngine::new(&packed_ds, None);
-        packed_engine.set_threads(threads);
-        let b = packed_engine.execute_workload(&build_spec(&packed_ds));
-        prop_assert_eq!(&a.answers, &b.answers, "threads={}", threads);
-        prop_assert_eq!(&a.targets, &b.targets, "threads={}", threads);
-        prop_assert_eq!(a.stats, b.stats, "threads={}", threads);
-        // Single-query scans agree too, cached and uncached.
-        let probe = IntRangePredicate { col: 0, lo: -10, hi: 10 };
-        prop_assert_eq!(oracle_engine.count(&probe), packed_engine.count(&probe));
-        prop_assert_eq!(oracle_engine.count(&probe), packed_engine.count(&probe));
+        prop_assert_eq!(serial.count(&probe), parallel.count(&probe));
     }
 }

@@ -1,16 +1,13 @@
 //! Property tests for mutation-transcript replay: any generated
 //! interleaving of inserts, deletes, and workloads must (a) answer exactly
 //! like a from-scratch rebuild of the final logical relation, and (b)
-//! produce byte-identical logs and answers across thread counts, storage
-//! engines, and schedule policies — and answer-identical across compaction
-//! thresholds.
+//! produce byte-identical logs and answers across thread counts and
+//! schedule policies — and answer-identical across compaction thresholds.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use so_data::{
-    AttributeDef, AttributeRole, DataType, Schema, StorageEngine, Value, DELTA_SEGMENT_ROWS,
-};
+use so_data::{AttributeDef, AttributeRole, DataType, Schema, Value, DELTA_SEGMENT_ROWS};
 use so_plan::parallel::SchedulePolicy;
 use so_plan::shape::PredShape;
 use so_plan::workload::Noise;
@@ -114,7 +111,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Replay equals the from-scratch oracle, byte-identically, under every
-    /// thread count × storage engine × schedule policy; answers are further
+    /// thread count × schedule policy; answers are further
     /// invariant across compaction thresholds (eager vs never).
     #[test]
     fn replay_is_deterministic_and_matches_rebuild(
@@ -125,28 +122,24 @@ proptest! {
         let reference = t.replay(&ReplayConfig::default());
         prop_assert_eq!(
             &reference.answers,
-            &t.oracle_answers(StorageEngine::Packed),
+            &t.oracle_answers(),
             "incremental replay diverged from the from-scratch rebuild"
         );
         prop_assert_eq!(reference.n_live, t.final_live_rows());
-        for &engine in &[StorageEngine::Packed, StorageEngine::Uncompressed] {
-            for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
-                for threads in [1usize, 2, 8] {
-                    let out = t.replay(&ReplayConfig {
-                        threads,
-                        policy,
-                        engine,
-                        compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
-                    });
-                    prop_assert_eq!(
-                        &out,
-                        &reference,
-                        "diverged at {} threads / {:?} / {:?}",
-                        threads,
-                        policy,
-                        engine
-                    );
-                }
+        for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
+            for threads in [1usize, 2, 8] {
+                let out = t.replay(&ReplayConfig {
+                    threads,
+                    policy,
+                    compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
+                });
+                prop_assert_eq!(
+                    &out,
+                    &reference,
+                    "diverged at {} threads / {:?}",
+                    threads,
+                    policy
+                );
             }
         }
         let eager = t.replay(&ReplayConfig { compact_threshold: 1, ..ReplayConfig::default() });
@@ -188,13 +181,12 @@ proptest! {
         let reference = t.replay(&ReplayConfig::default());
         prop_assert_eq!(
             &reference.answers,
-            &t.oracle_answers(StorageEngine::Packed)
+            &t.oracle_answers()
         );
         for threads in [2usize, 8] {
             let out = t.replay(&ReplayConfig {
                 threads,
                 policy: SchedulePolicy::Morsel,
-                engine: StorageEngine::Uncompressed,
                 compact_threshold: 2,
             });
             prop_assert_eq!(&out.answers, &reference.answers);

@@ -27,8 +27,7 @@ use so_analyze::admission::{self, Admission, Refusal};
 use so_analyze::lint::{lint_workload, LintConfig, LintReport};
 use so_data::rng::{derive_seed, seeded_rng};
 use so_data::{
-    AttributeDef, AttributeRole, BitVec, DataType, Dataset, DatasetBuilder, Schema, StorageEngine,
-    Value,
+    AttributeDef, AttributeRole, BitVec, DataType, Dataset, DatasetBuilder, Schema, Value,
 };
 use so_dp::{sample_laplace, ContinualAccountant};
 use so_plan::shape::PredShape;
@@ -154,7 +153,7 @@ impl Tenant {
         for _ in 0..config.n_rows {
             b.push_row(vec![Value::Int(rows.gen_range(0..90))]);
         }
-        let dataset = b.finish_with_engine(StorageEngine::from_env());
+        let dataset = b.finish();
         let mut secret_rng = seeded_rng(derive_seed(config.seed, 1));
         let mut secret = BitVec::zeros(config.n_rows);
         for i in 0..config.n_rows {

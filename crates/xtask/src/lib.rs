@@ -7,7 +7,7 @@
 //! lint_determinism`): a token-level scan of every workspace crate's `src/`
 //! tree for constructs that can leak nondeterminism into transcript-feeding
 //! code paths. The CI determinism job diffs experiment transcripts across
-//! thread counts, storage engines, and schedules — this lint catches the
+//! thread counts, schedules, and tracing — this lint catches the
 //! *sources* of divergence before they reach a transcript:
 //!
 //! * **wall-clock** — `Instant::now`, `SystemTime::now`, `UNIX_EPOCH`:

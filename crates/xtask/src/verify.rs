@@ -101,7 +101,7 @@ pub const fn cases() -> &'static [CaseSpec] {
 /// One configuration-axis variant of a case run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Variant {
-    /// Scratch-file label (`unpacked_t8`).
+    /// Scratch-file label (`morsel_t8`).
     pub label: &'static str,
     /// Environment to set on top of a scrubbed `SO_*` environment.
     pub env: &'static [(&'static str, &'static str)],
@@ -128,16 +128,6 @@ pub const fn variants() -> &'static [Variant] {
         Variant {
             label: "t8_again",
             env: &[("SO_THREADS", "8")],
-            traced: false,
-        },
-        Variant {
-            label: "unpacked_t1",
-            env: &[("SO_THREADS", "1"), ("SO_STORAGE", "unpacked")],
-            traced: false,
-        },
-        Variant {
-            label: "unpacked_t8",
-            env: &[("SO_THREADS", "8"), ("SO_STORAGE", "unpacked")],
             traced: false,
         },
         Variant {
@@ -237,9 +227,8 @@ pub fn first_difference(left: &str, right: &str) -> Option<Difference> {
 /// Environment variables that steer the engines; every run starts from a
 /// scrubbed slate so the invoking shell can't leak configuration into a
 /// variant.
-pub const SO_ENV_VARS: [&str; 8] = [
+pub const SO_ENV_VARS: [&str; 7] = [
     "SO_THREADS",
-    "SO_STORAGE",
     "SO_SCHEDULE",
     "SO_COMPACT_THRESHOLD",
     "SO_TRACE",
@@ -291,9 +280,6 @@ mod tests {
             .filter(|v| v.env == [("SO_THREADS", "8")] && !v.traced)
             .collect();
         assert_eq!(t8.len(), 2, "need t8 and t8_again");
-        assert!(vs
-            .iter()
-            .any(|v| v.env.contains(&("SO_STORAGE", "unpacked"))));
         assert!(vs
             .iter()
             .any(|v| v.env.contains(&("SO_SCHEDULE", "morsel"))));
