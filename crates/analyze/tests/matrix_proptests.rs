@@ -2,10 +2,9 @@
 //! `SO-TRACKER`, `SO-COVER`): honest tabular workloads are never flagged,
 //! the attack batteries always are, DP noise past the accuracy cut silences
 //! every matrix pass, and lint reports are invariant under query
-//! permutation and under the execution-tuning environment knobs
-//! (`SO_THREADS` / `SO_SCHEDULE`) — the linter is static and
-//! data-free, so nothing about *how* queries would execute may leak into
-//! its verdicts.
+//! permutation and under the execution-tuning environment knob
+//! (`SO_THREADS`) — the linter is static and data-free, so nothing about
+//! *how* queries would execute may leak into its verdicts.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -211,16 +210,13 @@ fn lint_reports_are_invariant_under_execution_env_knobs() {
         out
     };
     let baseline = run_all();
-    for (threads, schedule) in [("1", "static"), ("8", "static"), ("8", "morsel")] {
+    for threads in ["1", "8"] {
         std::env::set_var("SO_THREADS", threads);
-        std::env::set_var("SO_SCHEDULE", schedule);
         assert_eq!(
             run_all(),
             baseline,
-            "lint drifted under SO_THREADS={threads} SO_SCHEDULE={schedule}"
+            "lint drifted under SO_THREADS={threads}"
         );
     }
-    for var in ["SO_THREADS", "SO_SCHEDULE"] {
-        std::env::remove_var(var);
-    }
+    std::env::remove_var("SO_THREADS");
 }

@@ -24,7 +24,7 @@ use so_data::{
 };
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
-use so_plan::{NodeCache, ParallelExecutor, QueryPlan, SchedulePolicy};
+use so_plan::{NodeCache, ParallelExecutor, QueryPlan};
 use so_query::{CountingEngine, IncrementalEngine, QueryAuditor};
 
 const N_ROWS: usize = 1_000_000;
@@ -118,10 +118,7 @@ fn bench_incremental_scan(c: &mut Criterion) {
         // path, caches warmed by one pre-timing execution.
         let data = VersionedDataset::with_compact_threshold(base_dataset(), 1_000);
         let mut eng = IncrementalEngine::with_auditor(data, QueryAuditor::with_trail_cap(None, 64));
-        eng.set_executor(ParallelExecutor::with_threads_and_policy(
-            threads,
-            SchedulePolicy::Auto,
-        ));
+        eng.set_threads(threads);
         let inserts: Vec<Vec<Value>> = (0..N_INSERTS).map(|i| row(N_ROWS + i)).collect();
         eng.insert_rows(&inserts);
         eng.delete_live(&deleted_live());
@@ -144,7 +141,7 @@ fn bench_incremental_scan(c: &mut Criterion) {
         );
 
         // Full rescan of the rebuilt relation, fresh cache per iteration.
-        let exec = ParallelExecutor::with_threads_and_policy(threads, SchedulePolicy::Auto);
+        let exec = ParallelExecutor::with_threads(threads);
         group.bench_function(
             BenchmarkId::new("full_rescan", format!("{threads}_threads")),
             |b| {

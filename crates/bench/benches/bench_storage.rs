@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
 use so_plan::workload::{Noise, WorkloadSpec};
-use so_plan::{NodeCache, ParallelExecutor, QueryPlan, SchedulePolicy};
+use so_plan::{NodeCache, ParallelExecutor, QueryPlan};
 use so_query::predicate::{AllRowPredicate, IntRangePredicate, ValueEqualsPredicate};
 
 const N_QUERIES: usize = 200;
@@ -71,7 +71,7 @@ fn bench_storage_scan(c: &mut Criterion) {
         let label = format!("{}m_rows", n_rows / 1_000_000);
 
         for &threads in &[1usize, 2, 4, 8] {
-            let exec = ParallelExecutor::with_threads_and_policy(threads, SchedulePolicy::Auto);
+            let exec = ParallelExecutor::with_threads(threads);
             let mut check = NodeCache::new();
             let (out, _) = exec.execute(&plan, spec.pool(), &ds, spec.evaluators(), &mut check);
             assert_eq!(

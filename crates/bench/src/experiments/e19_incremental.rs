@@ -5,8 +5,7 @@
 //! lint memo across dataset versions.
 //!
 //! Everything here is deterministic arithmetic — no RNG, no clock — so the
-//! rendered tables are byte-identical across `SO_THREADS` and
-//! `SO_SCHEDULE`. CI replays this experiment under every configuration
+//! rendered tables are byte-identical across `SO_THREADS`. CI replays this experiment under every configuration
 //! axis and diffs the output against the checked-in
 //! `experiments/e19_transcript.txt` artifact.
 
@@ -216,7 +215,6 @@ fn replay_tables(scale: Scale) -> (Table, Table) {
     let exec = ParallelExecutor::from_env();
     let cfg = ReplayConfig {
         threads: exec.threads(),
-        policy: exec.policy(),
         compact_threshold: so_data::compact_threshold_from_env(),
     };
     let outcome = t.replay(&cfg);

@@ -15,7 +15,7 @@
 //! wall clock anywhere in the serving path), client sessions are strictly
 //! sequential, every RNG is seeded, and the ephemeral port never appears in
 //! the output — so the rendered tables are byte-identical across
-//! `SO_THREADS`, `SO_SCHEDULE`, and tracing. CI replays this
+//! `SO_THREADS` and tracing. CI replays this
 //! experiment under every configuration axis and diffs the output against
 //! the checked-in `experiments/e20_transcript.txt` artifact.
 

@@ -15,8 +15,8 @@
 //! transcript prints the recorder's cumulative total and the newest three
 //! records only (never the ring length, the cap, or any `*_micros` field),
 //! so `SO_FLIGHT_CAP=4` and the default 256 render byte-identical tables.
-//! CI replays this experiment across `SO_THREADS`, `SO_SCHEDULE`,
-//! tracing, and `SO_FLIGHT_CAP` and diffs the output
+//! CI replays this experiment across `SO_THREADS`, tracing, and
+//! `SO_FLIGHT_CAP` and diffs the output
 //! against the checked-in `experiments/e21_transcript.txt` artifact.
 
 use so_data::rng::{derive_seed, seeded_rng};

@@ -144,6 +144,21 @@ impl BitVec {
             .sum()
     }
 
+    /// Number of positions set in both `self` and `other` — the subset sum
+    /// `Σ_{i∈q} x_i` of a membership mask `q` against a secret column `x`,
+    /// as word-parallel AND + popcount.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    pub fn and_count(&self, other: &BitVec) -> usize {
+        assert_eq!(self.len, other.len, "length mismatch");
+        self.words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum()
+    }
+
     /// Iterates over bits as bools.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -334,6 +349,23 @@ mod tests {
         let v = BitVec::from_bools(&bits);
         let back: Vec<bool> = v.iter().collect();
         assert_eq!(back, bits);
+    }
+
+    #[test]
+    fn and_count_matches_the_bitwise_walk() {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let a = BitVec::from_iter_bits((0..n).map(|i| i % 3 == 0));
+            let b = BitVec::from_iter_bits((0..n).map(|i| i % 2 == 0));
+            let walk = a.iter().zip(b.iter()).filter(|&(x, y)| x && y).count();
+            assert_eq!(a.and_count(&b), walk, "n={n}");
+            assert_eq!(a.and_count(&BitVec::ones(n)), a.count_ones(), "n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn and_count_length_mismatch_panics() {
+        BitVec::zeros(3).and_count(&BitVec::zeros(4));
     }
 
     #[test]

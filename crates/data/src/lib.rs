@@ -56,7 +56,7 @@ pub use population::{Population, PopulationConfig};
 pub use ratings::{RatingsConfig, RatingsData};
 pub use schema::{AttributeDef, AttributeRole, DataType, Schema};
 pub use selection::SelectionVector;
-pub use sharded::{word_aligned_ranges, ShardedDataset};
+pub use sharded::word_aligned_ranges;
 pub use value::Value;
 pub use versioned::{
     compact_threshold_from_env, MutationEffect, VersionedDataset, DEFAULT_COMPACT_THRESHOLD,

@@ -1,19 +1,17 @@
-//! Word-aligned row sharding — the dataset view behind parallel execution.
+//! Word-aligned row sharding — the row partition behind parallel execution.
 //!
 //! The paper's attack workloads (Dinur–Nissim reconstruction, census
 //! tabulation replay, linkage joins) are embarrassingly parallel over rows:
 //! every query is a predicate count, and a count over `n` rows is the sum of
-//! counts over any partition of those rows. A [`ShardedDataset`] fixes one
-//! such partition: contiguous row ranges whose starts are multiples of 64,
-//! so a shard-local [`crate::SelectionVector`] occupies whole words of the
-//! full-dataset bitmap and merging shard results is a pure word copy in
-//! shard order ([`crate::SelectionVector::concat_aligned`]) — no bit
-//! shifting, no overlap, and bit-identical output no matter how many shards
+//! counts over any partition of those rows. [`word_aligned_ranges`] fixes
+//! one such partition: contiguous row ranges whose starts are multiples of
+//! 64, so a range-local [`crate::SelectionVector`] occupies whole words of
+//! the full-dataset bitmap and merging range results is a pure word copy in
+//! range order ([`crate::SelectionVector::concat_aligned`]) — no bit
+//! shifting, no overlap, and bit-identical output no matter how many ranges
 //! the work was split into.
 
 use std::ops::Range;
-
-use crate::dataset::Dataset;
 
 /// Splits `0..n_rows` into at most `max_shards` contiguous ranges, each
 /// starting at a multiple of 64 (so shard bitmaps align to whole words of
@@ -45,60 +43,9 @@ pub fn word_aligned_ranges(n_rows: usize, max_shards: usize) -> Vec<Range<usize>
         .collect()
 }
 
-/// A read-only sharded view of a [`Dataset`]: the dataset plus one fixed
-/// word-aligned partition of its rows (see [`word_aligned_ranges`]).
-///
-/// The view borrows the dataset — nothing is copied. Parallel executors hand
-/// each shard's range to a worker thread, scan only those rows, and
-/// concatenate the per-shard bitmaps in shard order.
-#[derive(Debug, Clone)]
-pub struct ShardedDataset<'a> {
-    ds: &'a Dataset,
-    ranges: Vec<Range<usize>>,
-}
-
-impl<'a> ShardedDataset<'a> {
-    /// Partitions `ds` into at most `max_shards` word-aligned row chunks.
-    ///
-    /// # Panics
-    /// Panics if `max_shards` is zero.
-    pub fn new(ds: &'a Dataset, max_shards: usize) -> Self {
-        ShardedDataset {
-            ds,
-            ranges: word_aligned_ranges(ds.n_rows(), max_shards),
-        }
-    }
-
-    /// The underlying dataset.
-    pub fn dataset(&self) -> &'a Dataset {
-        self.ds
-    }
-
-    /// Number of shards (zero iff the dataset is empty).
-    pub fn n_shards(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// The shard row ranges, ascending and disjoint, covering every row.
-    pub fn ranges(&self) -> &[Range<usize>] {
-        &self.ranges
-    }
-
-    /// Row range of shard `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= n_shards()`.
-    pub fn range(&self, i: usize) -> Range<usize> {
-        self.ranges[i].clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{AttributeDef, AttributeRole, DataType, Schema};
-    use crate::value::Value;
-    use crate::DatasetBuilder;
 
     #[test]
     fn ranges_cover_every_row_exactly_once() {
@@ -130,26 +77,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         word_aligned_ranges(10, 0);
-    }
-
-    #[test]
-    fn sharded_dataset_view() {
-        let schema = Schema::new(vec![AttributeDef::new(
-            "v",
-            DataType::Int,
-            AttributeRole::Sensitive,
-        )]);
-        let mut b = DatasetBuilder::new(schema);
-        for i in 0..150i64 {
-            b.push_row(vec![Value::Int(i)]);
-        }
-        let ds = b.finish();
-        let sharded = ShardedDataset::new(&ds, 2);
-        assert_eq!(sharded.n_shards(), 2);
-        assert_eq!(sharded.range(0), 0..128);
-        assert_eq!(sharded.range(1), 128..150);
-        assert_eq!(sharded.dataset().n_rows(), 150);
-        let total: usize = sharded.ranges().iter().map(|r| r.len()).sum();
-        assert_eq!(total, ds.n_rows());
     }
 }

@@ -49,7 +49,7 @@ pub const COMPACT_ENV: &str = "SO_COMPACT_THRESHOLD";
 /// does, from an explicit optional string: a positive integer (surrounding
 /// whitespace tolerated) wins, anything else — unset, empty, garbage, or
 /// zero — falls back to [`DEFAULT_COMPACT_THRESHOLD`]. Mirrors the pinned
-/// `SO_THREADS`/`SO_SCHEDULE` fallback treatment.
+/// `SO_THREADS` fallback treatment.
 fn threshold_from(env: Option<&str>) -> usize {
     match env.and_then(|s| s.trim().parse::<usize>().ok()) {
         Some(t) if t >= 1 => t,

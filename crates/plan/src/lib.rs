@@ -41,7 +41,8 @@
 //! * [`noise`] — the one shared copy of the Laplace tail-quantile /
 //!   effective-α logic (see [`noise::laplace_tail_quantile`]).
 //! * [`parallel`] — [`ParallelExecutor`], sharded multi-threaded plan
-//!   execution over word-aligned row chunks ([`so_data::ShardedDataset`]),
+//!   execution over word-aligned row ranges (per-thread shards or
+//!   [`MORSEL_ROWS`]-row morsels, chosen from the row count),
 //!   bit-identical to the serial path at every thread count
 //!   (`SO_THREADS` override).
 //! * [`obs`] — the bridge to the `so-obs` global metrics registry: every
@@ -62,7 +63,7 @@ pub mod workload;
 pub use ir::{Atom, ExprId, PredNode, PredPool};
 pub use noise::laplace_tail_quantile;
 pub use obs::{plan_metrics, registry_plan_stats, PlanMetrics};
-pub use parallel::{ParallelExecutor, SchedulePolicy, MORSEL_ROWS, SCHEDULE_ENV, THREADS_ENV};
+pub use parallel::{ParallelExecutor, MORSEL_ROWS, THREADS_ENV};
 pub use plan::{NodeCache, PlanOutcome, PlanStats, QueryPlan};
 pub use predicate::{canonical_bytes, Predicate, RowPredicate};
 pub use shape::{next_opaque_id, PredShape};

@@ -1,48 +1,39 @@
 //! Sharded multi-threaded plan execution.
 //!
 //! A [`ParallelExecutor`] runs a compiled [`QueryPlan`]'s bitmap kernels on
-//! a [`std::thread::scope`] pool, one worker per word-aligned row shard of
-//! the dataset ([`so_data::ShardedDataset`]), and merges the per-shard
-//! results **deterministically in shard order**:
+//! a [`std::thread::scope`] pool over word-aligned row ranges of the dataset
+//! and merges the per-range results **deterministically in range order**:
 //!
 //! ```text
-//!               ┌─ shard 0 rows [0, 64k)     ── scan/AND/OR/NOT ─┐
-//!   QueryPlan ──┼─ shard 1 rows [64k, 128k)  ── scan/AND/OR/NOT ─┼─ concat
-//!               └─ shard 2 rows [128k, n)    ── scan/AND/OR/NOT ─┘   words
+//!               ┌─ range 0 rows [0, 64k)     ── scan/AND/OR/NOT ─┐
+//!   QueryPlan ──┼─ range 1 rows [64k, 128k)  ── scan/AND/OR/NOT ─┼─ concat
+//!               └─ range 2 rows [128k, n)    ── scan/AND/OR/NOT ─┘   words
 //!                                                                      │
 //!                                                   NodeCache ◀────────┘
 //! ```
 //!
-//! Because shard boundaries are multiples of 64, a shard-local
+//! Because range boundaries are multiples of 64, a range-local
 //! [`SelectionVector`] occupies whole words of the full bitmap and the merge
 //! ([`SelectionVector::concat_aligned`]) is a pure word copy — answers are
 //! **bit-identical to the serial path for every thread count**, which is
 //! what lets a CI determinism gate diff transcripts across `SO_THREADS`
-//! settings. Each worker evaluates the plan's node order into a shard-local
+//! settings. Each worker evaluates the plan's node order into a range-local
 //! cache; the shared [`NodeCache`] is only read during the scatter phase
 //! (word-aligned slices of already-compiled bitmaps) and only written after
 //! the join barrier, in plan order.
 //!
-//! ## Scheduling: static shards vs morsels
+//! ## The range schedule
 //!
-//! Two ways to hand ranges to the worker pool, selected by
-//! [`SchedulePolicy`] (`SO_SCHEDULE` env):
-//!
-//! * **static** — one contiguous range per worker (the classic layout).
-//!   Zero coordination, but a skewed shard (e.g. a worker descheduled by
-//!   the OS, or NUMA-unlucky pages) stalls the join barrier.
-//! * **morsel** — the row space is pre-cut into fixed-size word-aligned
-//!   morsels ([`MORSEL_ROWS`] rows) and workers *claim* the next morsel
-//!   index from a shared atomic cursor until none remain, so a slow worker
-//!   simply claims fewer morsels.
-//!
-//! Determinism is preserved under both: the morsel partition depends only
-//! on `n_rows` (never on which worker ran what), every result is tagged
-//! with its morsel index, and the merge sorts by index before
-//! concatenating — so answers, cache contents, and stats are bit-identical
-//! to the serial path for every thread count under either schedule. `Auto`
-//! (the default) uses morsels when there are enough of them to rebalance
-//! (≥ 2 per worker) and static shards otherwise.
+//! The ranges are a pure function of `(n_rows, threads)`. When the rows
+//! make at least two [`MORSEL_ROWS`]-row morsels per worker, the row space
+//! is cut into those morsels and workers *claim* the next morsel index from
+//! a shared atomic cursor, so a descheduled worker simply claims fewer.
+//! Otherwise each worker gets one contiguous range from
+//! [`so_data::word_aligned_ranges`]: with fewer morsels than that there is
+//! nothing to rebalance, and the `bench_shard` curve at 100k rows (two
+//! unequal morsels) favours the equal split. Every result is tagged with
+//! its range index and the merge sorts by index before concatenating, so
+//! which worker ran what never shows.
 //!
 //! Thread count comes from the `SO_THREADS` environment variable
 //! ([`THREADS_ENV`]), defaulting to [`std::thread::available_parallelism`];
@@ -55,7 +46,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use so_data::{Dataset, SelectionVector, ShardedDataset};
+use so_data::{word_aligned_ranges, Dataset, SelectionVector};
 
 use crate::ir::{Atom, ExprId, PredNode, PredPool};
 use crate::kernels::scan_atom_range;
@@ -67,46 +58,10 @@ use crate::predicate::RowPredicate;
 /// parallelism.
 pub const THREADS_ENV: &str = "SO_THREADS";
 
-/// Environment variable selecting the range schedule: `static`, `morsel`,
-/// or anything else (including unset) for `auto`.
-pub const SCHEDULE_ENV: &str = "SO_SCHEDULE";
-
 /// Rows per morsel under morsel-driven scheduling: 1024 words. Word-aligned
 /// by construction, so morsel bitmaps merge by pure word copy, and small
 /// enough that a skewed worker re-balances at fine grain.
 pub const MORSEL_ROWS: usize = 1 << 16;
-
-/// How [`ParallelExecutor::execute`] cuts the row space into worker ranges.
-///
-/// Every policy produces bit-identical answers — the choice is purely a
-/// load-balancing strategy (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulePolicy {
-    /// Morsels when there are at least two per worker, else static shards.
-    #[default]
-    Auto,
-    /// One contiguous word-aligned shard per worker.
-    Static,
-    /// Fixed-size word-aligned morsels claimed from an atomic cursor.
-    Morsel,
-}
-
-impl SchedulePolicy {
-    /// Reads [`SCHEDULE_ENV`] (`SO_SCHEDULE`): `static` or `morsel`
-    /// (case-insensitive) select those policies; anything else is `Auto`.
-    pub fn from_env() -> Self {
-        Self::from_opt(std::env::var(SCHEDULE_ENV).ok().as_deref())
-    }
-
-    /// [`SchedulePolicy::from_env`] with an injected value, for tests.
-    pub fn from_opt(value: Option<&str>) -> Self {
-        match value.map(str::trim) {
-            Some(s) if s.eq_ignore_ascii_case("static") => SchedulePolicy::Static,
-            Some(s) if s.eq_ignore_ascii_case("morsel") => SchedulePolicy::Morsel,
-            _ => SchedulePolicy::Auto,
-        }
-    }
-}
 
 /// A deterministic scoped-thread executor with a fixed worker count.
 ///
@@ -117,37 +72,24 @@ impl SchedulePolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelExecutor {
     threads: usize,
-    policy: SchedulePolicy,
     morsel_rows: usize,
 }
 
 impl ParallelExecutor {
-    /// An executor with an explicit worker count. The schedule policy is
-    /// taken from the environment ([`SchedulePolicy::from_env`]) so
-    /// `SO_SCHEDULE` reaches engines that only configure a thread count.
+    /// An executor with an explicit worker count.
     ///
     /// # Panics
     /// Panics if `threads` is zero.
     pub fn with_threads(threads: usize) -> Self {
-        Self::with_threads_and_policy(threads, SchedulePolicy::from_env())
-    }
-
-    /// An executor with an explicit worker count and schedule policy.
-    ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub fn with_threads_and_policy(threads: usize, policy: SchedulePolicy) -> Self {
         assert!(threads >= 1, "need at least one thread");
         ParallelExecutor {
             threads,
-            policy,
             morsel_rows: MORSEL_ROWS,
         }
     }
 
-    /// An executor honouring the [`THREADS_ENV`] (`SO_THREADS`) and
-    /// [`SCHEDULE_ENV`] (`SO_SCHEDULE`) overrides, defaulting to the
-    /// machine's available parallelism under the `Auto` schedule.
+    /// An executor honouring the [`THREADS_ENV`] (`SO_THREADS`) override,
+    /// defaulting to the machine's available parallelism.
     pub fn from_env() -> Self {
         Self::with_threads(threads_from(std::env::var(THREADS_ENV).ok().as_deref()))
     }
@@ -157,18 +99,14 @@ impl ParallelExecutor {
         self.threads
     }
 
-    /// The configured schedule policy.
-    pub fn policy(&self) -> SchedulePolicy {
-        self.policy
-    }
-
-    /// Overrides the morsel size (tests exercise multi-morsel claiming on
-    /// small datasets with this).
+    /// Overrides the morsel size, so small test datasets exercise
+    /// multi-morsel claiming.
     ///
     /// # Panics
     /// Panics unless `rows` is a positive multiple of 64 (morsel boundaries
     /// must stay word-aligned for the merge to be a pure word copy).
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
+    #[cfg(test)]
+    fn with_morsel_rows(mut self, rows: usize) -> Self {
         assert!(
             rows > 0 && rows % 64 == 0,
             "morsel size must be a positive multiple of 64, got {rows}"
@@ -177,29 +115,20 @@ impl ParallelExecutor {
         self
     }
 
-    /// The worker ranges for `n_rows` under the configured policy, plus the
-    /// schedule actually chosen (`"static"` / `"morsel"`, for traces). A
-    /// pure function of the executor configuration and `n_rows` — never of
-    /// runtime timing — which is what keeps execution deterministic.
-    fn plan_ranges(
-        &self,
-        sharded: &ShardedDataset,
-        n_rows: usize,
-    ) -> (Vec<Range<usize>>, &'static str) {
-        let n_morsels = n_rows.div_ceil(self.morsel_rows.max(1));
-        let use_morsels = match self.policy {
-            SchedulePolicy::Static => false,
-            SchedulePolicy::Morsel => true,
-            // Rebalancing needs slack: at least two morsels per worker.
-            SchedulePolicy::Auto => n_morsels >= 2 * self.threads,
-        };
-        if use_morsels {
+    /// The worker ranges for `n_rows`, plus the schedule chosen (`"static"`
+    /// / `"morsel"`, for traces): morsels when there are at least two per
+    /// worker, else one word-aligned range per worker. A pure function of
+    /// `(n_rows, threads)` — never of runtime timing — which is what keeps
+    /// execution deterministic.
+    fn plan_ranges(&self, n_rows: usize) -> (Vec<Range<usize>>, &'static str) {
+        let n_morsels = n_rows.div_ceil(self.morsel_rows);
+        if n_morsels >= 2 * self.threads {
             let ranges = (0..n_morsels)
                 .map(|i| i * self.morsel_rows..((i + 1) * self.morsel_rows).min(n_rows))
                 .collect();
             (ranges, "morsel")
         } else {
-            (sharded.ranges().to_vec(), "static")
+            (word_aligned_ranges(n_rows, self.threads), "static")
         }
     }
 
@@ -223,8 +152,8 @@ impl ParallelExecutor {
         evaluators: &HashMap<u64, Arc<dyn RowPredicate>>,
         cache: &mut NodeCache,
     ) -> (Vec<PlanOutcome>, PlanStats) {
-        let sharded = ShardedDataset::new(ds, self.threads);
-        if self.threads == 1 || sharded.n_shards() <= 1 {
+        let (ranges, schedule) = self.plan_ranges(ds.n_rows());
+        if self.threads == 1 || ranges.len() <= 1 {
             return plan.execute(pool, ds, evaluators, cache);
         }
         let started = std::time::Instant::now();
@@ -269,7 +198,6 @@ impl ParallelExecutor {
                 eval_ids.push(id);
             }
         }
-        let (ranges, schedule) = self.plan_ranges(&sharded, ds.n_rows());
         if !eval_ids.is_empty() {
             let shared_cache: &NodeCache = cache;
             let eval: &[ExprId] = &eval_ids;
@@ -562,10 +490,13 @@ mod tests {
         w
     }
 
-    /// The cross-thread-count invariant the whole module exists for — under
-    /// every schedule policy.
+    /// The cross-thread-count invariant the whole module exists for, under
+    /// the one range schedule. 128-row morsels make the sweep take both
+    /// branches: static ranges where rows are scarce, multi-morsel cursor
+    /// claiming where there are at least two morsels per worker.
     #[test]
     fn parallel_matches_serial_for_every_thread_count() {
+        let mut schedules = std::collections::BTreeSet::new();
         for n in [1usize, 63, 64, 65, 127, 130, 1000] {
             let data = ds(n);
             let w = workload(n);
@@ -574,29 +505,28 @@ mod tests {
             let (serial, serial_stats) =
                 plan.execute(w.pool(), &data, w.evaluators(), &mut serial_cache);
             for threads in 1..=8 {
-                for policy in [
-                    SchedulePolicy::Auto,
-                    SchedulePolicy::Static,
-                    SchedulePolicy::Morsel,
-                ] {
-                    let exec = ParallelExecutor::with_threads_and_policy(threads, policy)
-                        // 128-row morsels so small datasets really
-                        // exercise multi-morsel cursor claiming.
-                        .with_morsel_rows(128);
-                    let mut cache = NodeCache::new();
-                    let (out, stats) =
-                        exec.execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
-                    let ctx = format!("n={n} threads={threads} {policy:?}");
-                    assert_eq!(out, serial, "{ctx}");
-                    assert_eq!(stats, serial_stats, "{ctx}");
-                    // Cache contents are bit-identical too, not just counts.
-                    assert_eq!(cache.len(), serial_cache.len(), "{ctx}");
-                    for (id, bm) in &serial_cache {
-                        assert_eq!(cache[id], *bm, "{ctx} node {id:?}");
-                    }
+                let exec = ParallelExecutor::with_threads(threads).with_morsel_rows(128);
+                let (ranges, schedule) = exec.plan_ranges(n);
+                if threads > 1 && ranges.len() > 1 {
+                    schedules.insert(schedule);
+                }
+                let mut cache = NodeCache::new();
+                let (out, stats) = exec.execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
+                let ctx = format!("n={n} threads={threads} {schedule}");
+                assert_eq!(out, serial, "{ctx}");
+                assert_eq!(stats, serial_stats, "{ctx}");
+                // Cache contents are bit-identical too, not just counts.
+                assert_eq!(cache.len(), serial_cache.len(), "{ctx}");
+                for (id, bm) in &serial_cache {
+                    assert_eq!(cache[id], *bm, "{ctx} node {id:?}");
                 }
             }
         }
+        assert_eq!(
+            schedules.into_iter().collect::<Vec<_>>(),
+            ["morsel", "static"],
+            "the sweep must run both branches of the schedule"
+        );
     }
 
     /// Word-sized (64-row) morsels answer exactly as the serial plan does:
@@ -608,85 +538,80 @@ mod tests {
         let plan = QueryPlan::from_spec(&w);
         let mut serial_cache = NodeCache::new();
         let serial = plan.execute(w.pool(), &data, w.evaluators(), &mut serial_cache);
+        let exec = ParallelExecutor::with_threads(4).with_morsel_rows(64);
+        assert_eq!(exec.plan_ranges(1000).1, "morsel");
         let mut cache = NodeCache::new();
-        let parallel = ParallelExecutor::with_threads_and_policy(4, SchedulePolicy::Morsel)
-            .with_morsel_rows(64)
-            .execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
+        let parallel = exec.execute(&plan, w.pool(), &data, w.evaluators(), &mut cache);
         assert_eq!(parallel, serial);
     }
 
-    /// Morsel partitioning: word-aligned starts, exact coverage, pure
-    /// function of `n_rows` and the configured morsel size.
+    /// Both branches cut word-aligned ranges that cover every row exactly
+    /// once, morsels never exceed the morsel size, and static ranges never
+    /// outnumber the workers.
     #[test]
-    fn morsel_ranges_are_word_aligned_and_cover() {
+    fn ranges_are_word_aligned_and_cover() {
         for n in [0usize, 1, 64, 127, 128, 129, 1000, 65_536, 65_537] {
-            let exec = ParallelExecutor::with_threads_and_policy(4, SchedulePolicy::Morsel)
-                .with_morsel_rows(128);
-            let data = ds(n.min(2000)); // sharded only needs n_rows
-            let sharded = ShardedDataset::new(&data, 4);
-            let (ranges, schedule) = exec.plan_ranges(&sharded, n);
-            assert_eq!(schedule, "morsel");
-            let mut next = 0usize;
-            for r in &ranges {
-                assert_eq!(r.start, next, "n={n}");
-                assert_eq!(r.start % 64, 0, "n={n}");
-                assert!(!r.is_empty(), "n={n}");
-                assert!(r.len() <= 128, "n={n}");
-                next = r.end;
+            for threads in 1..=8 {
+                let exec = ParallelExecutor::with_threads(threads).with_morsel_rows(128);
+                let (ranges, schedule) = exec.plan_ranges(n);
+                let ctx = format!("n={n} threads={threads} {schedule}");
+                let mut next = 0usize;
+                for r in &ranges {
+                    assert_eq!(r.start, next, "{ctx}");
+                    assert_eq!(r.start % 64, 0, "{ctx}");
+                    assert!(!r.is_empty(), "{ctx}");
+                    if schedule == "morsel" {
+                        assert!(r.len() <= 128, "{ctx}");
+                    }
+                    next = r.end;
+                }
+                assert_eq!(next, n, "{ctx}");
+                if schedule == "static" {
+                    assert!(ranges.len() <= threads, "{ctx}");
+                }
             }
-            assert_eq!(next, n, "n={n}");
         }
     }
 
-    /// Auto rebalances only when there are at least two morsels per worker.
+    /// Morsels only when there are at least two per worker.
     #[test]
-    fn auto_policy_picks_morsels_only_with_slack() {
-        let data = ds(100);
-        let sharded = ShardedDataset::new(&data, 2);
-        let auto2 =
-            ParallelExecutor::with_threads_and_policy(2, SchedulePolicy::Auto).with_morsel_rows(64);
+    fn morsels_only_with_slack() {
+        let two = ParallelExecutor::with_threads(2).with_morsel_rows(64);
         // 100 rows / 64-row morsels = 2 morsels < 2 * 2 workers → static.
-        assert_eq!(auto2.plan_ranges(&sharded, 100).1, "static");
+        assert_eq!(two.plan_ranges(100).1, "static");
         // 256 rows = 4 morsels ≥ 2 * 2 workers → morsel.
-        assert_eq!(auto2.plan_ranges(&sharded, 256).1, "morsel");
-        let fixed = ParallelExecutor::with_threads_and_policy(2, SchedulePolicy::Static)
-            .with_morsel_rows(64);
-        assert_eq!(fixed.plan_ranges(&sharded, 10_000).1, "static");
+        assert_eq!(two.plan_ranges(256).1, "morsel");
+        // 255 rows still make 4 morsels (the last one short).
+        assert_eq!(two.plan_ranges(255).1, "morsel");
+        let eight = ParallelExecutor::with_threads(8).with_morsel_rows(64);
+        // 960 rows = 15 morsels < 16; one row more opens the 16th.
+        assert_eq!(eight.plan_ranges(960).1, "static");
+        assert_eq!(eight.plan_ranges(961).1, "morsel");
     }
 
+    /// The production morsel size: the ranges the benchmarked relations
+    /// get, pinned. 1M rows make 16 morsels, so up to 8 workers claim
+    /// morsels; 100k rows make 2, so every thread count splits statically.
     #[test]
-    fn schedule_policy_parsing() {
-        assert_eq!(SchedulePolicy::from_opt(None), SchedulePolicy::Auto);
-        assert_eq!(SchedulePolicy::from_opt(Some("auto")), SchedulePolicy::Auto);
+    fn production_ranges_are_pinned() {
+        let exec = ParallelExecutor::with_threads;
+        let (ranges, schedule) = exec(2).plan_ranges(1_000_000);
+        assert_eq!(schedule, "morsel");
+        assert_eq!(ranges.len(), 16);
+        assert_eq!(ranges[0], 0..MORSEL_ROWS);
+        assert_eq!(ranges[15], 15 * MORSEL_ROWS..1_000_000);
+        assert_eq!(exec(8).plan_ranges(1_000_000).1, "morsel");
         assert_eq!(
-            SchedulePolicy::from_opt(Some(" STATIC ")),
-            SchedulePolicy::Static
+            exec(9).plan_ranges(1_000_000),
+            (word_aligned_ranges(1_000_000, 9), "static")
         );
-        assert_eq!(
-            SchedulePolicy::from_opt(Some("Morsel")),
-            SchedulePolicy::Morsel
-        );
-        assert_eq!(
-            SchedulePolicy::from_opt(Some("garbage")),
-            SchedulePolicy::Auto
-        );
-    }
-
-    /// Pins the fallback behaviour for garbage and empty `SO_SCHEDULE`
-    /// values, mirroring the `SO_THREADS` treatment: anything that is not
-    /// `static` or `morsel` — including the empty string, whitespace, and
-    /// near-misses — falls back to [`SchedulePolicy::Auto`] rather than
-    /// erroring.
-    #[test]
-    fn schedule_policy_garbage_and_empty_fall_back_to_auto() {
-        for s in ["", "   ", "0", "-1", "staticc", "mor sel", "MORSELS", "☃"] {
+        for threads in [2, 4, 8] {
             assert_eq!(
-                SchedulePolicy::from_opt(Some(s)),
-                SchedulePolicy::Auto,
-                "{s:?} must fall back to Auto"
+                exec(threads).plan_ranges(100_000),
+                (word_aligned_ranges(100_000, threads), "static")
             );
         }
-        assert_eq!(SchedulePolicy::default(), SchedulePolicy::Auto);
+        assert_eq!(exec(2).plan_ranges(100_000).0, [0..50_048, 50_048..100_000]);
     }
 
     #[test]

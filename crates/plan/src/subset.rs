@@ -54,13 +54,7 @@ impl SubsetQuery {
     /// Panics if `x.len() != n`.
     pub fn true_answer(&self, x: &BitVec) -> u64 {
         assert_eq!(x.len(), self.members.len(), "dataset/query size mismatch");
-        // Word-parallel AND + popcount.
-        self.members
-            .words()
-            .iter()
-            .zip(x.words())
-            .map(|(q, xv)| u64::from((q & xv).count_ones()))
-            .sum()
+        self.members.and_count(x) as u64
     }
 }
 

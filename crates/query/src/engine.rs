@@ -19,11 +19,11 @@
 //!
 //! Plan execution is sharded across worker threads
 //! ([`so_plan::parallel::ParallelExecutor`], `SO_THREADS` override): rows
-//! split into word-aligned chunks — static per-thread shards or
-//! morsel-driven work stealing (`SO_SCHEDULE`) — each worker scans its
+//! split into word-aligned ranges — one per thread, or fixed-size morsels
+//! claimed from a cursor when the relation is large — each worker scans its
 //! ranges, and bitmaps merge in range order, so answers are bit-identical
-//! to serial execution at every thread count under either schedule. Atom
-//! scans read the dataset's typed column slices directly.
+//! to serial execution at every thread count. Atom scans read the dataset's
+//! typed column slices directly.
 
 use std::collections::HashMap;
 
@@ -92,6 +92,75 @@ pub struct WorkloadAnswers {
     pub targets: Vec<Option<ExprId>>,
     /// What executing the plan actually did (scans, cache hits, …).
     pub stats: PlanStats,
+}
+
+impl WorkloadAnswers {
+    /// Packs a finished workload. The plan counts refused and subset
+    /// queries (no plan target) as unanswerable; `stats.queries` and
+    /// `stats.unanswerable` report the real per-answer split instead.
+    pub(crate) fn settle(
+        answers: Vec<WorkloadAnswer>,
+        targets: Vec<Option<ExprId>>,
+        mut stats: PlanStats,
+    ) -> Self {
+        stats.queries = answers.len();
+        stats.unanswerable = answers
+            .iter()
+            .filter(|a| matches!(a, WorkloadAnswer::Unanswerable))
+            .count();
+        WorkloadAnswers {
+            answers,
+            targets,
+            stats,
+        }
+    }
+}
+
+/// Lowers `spec` into an engine's pool and admits it query by query, as if
+/// the queries had been asked one at a time. Subset-sum queries are
+/// recorded as refusals and answered [`WorkloadAnswer::Unanswerable`];
+/// every predicate query is imported into `pool` (its target), and the
+/// auditor either admits it — a `Count(0)` placeholder the caller fills in
+/// from the plan — or refuses it. Returns the plan over the admitted
+/// targets, the answers, and the per-query targets, in declaration order.
+pub(crate) fn lower_workload(
+    spec: &WorkloadSpec,
+    pool: &mut PredPool,
+    auditor: &mut QueryAuditor,
+) -> (QueryPlan, Vec<WorkloadAnswer>, Vec<Option<ExprId>>) {
+    let mut memo = HashMap::new();
+    let n_queries = spec.len();
+    let mut targets: Vec<Option<ExprId>> = Vec::with_capacity(n_queries);
+    let mut plan_targets: Vec<Option<ExprId>> = Vec::with_capacity(n_queries);
+    let mut answers: Vec<WorkloadAnswer> = Vec::with_capacity(n_queries);
+    for q in spec.queries() {
+        match &q.kind {
+            QueryKind::Subset(members) => {
+                let size = members.count_ones();
+                auditor.refuse_with(|| {
+                    format!(
+                        "unanswerable: subset-sum query (|q| = {size}) \
+                         against a counting engine"
+                    )
+                });
+                targets.push(None);
+                plan_targets.push(None);
+                answers.push(WorkloadAnswer::Unanswerable);
+            }
+            QueryKind::Pred(id) => {
+                let tid = pool.import(spec.pool(), *id, &mut memo);
+                targets.push(Some(tid));
+                if auditor.admit_with(|| spec.pool().render(*id)) {
+                    plan_targets.push(Some(tid));
+                    answers.push(WorkloadAnswer::Count(0));
+                } else {
+                    plan_targets.push(None);
+                    answers.push(WorkloadAnswer::Refused);
+                }
+            }
+        }
+    }
+    (QueryPlan::compile(pool, plan_targets), answers, targets)
 }
 
 static NO_EVALUATORS: std::sync::OnceLock<HashMap<u64, std::sync::Arc<dyn RowPredicate>>> =
@@ -233,41 +302,8 @@ impl<'a> CountingEngine<'a> {
     pub fn execute_workload(&mut self, spec: &WorkloadSpec) -> WorkloadAnswers {
         crate::obs::query_metrics().workloads.inc();
         let span = so_obs::span("engine.workload");
-        let mut memo = HashMap::new();
-        let n_queries = spec.len();
-        let mut targets: Vec<Option<ExprId>> = Vec::with_capacity(n_queries);
-        let mut plan_targets: Vec<Option<ExprId>> = Vec::with_capacity(n_queries);
-        let mut answers: Vec<WorkloadAnswer> = Vec::with_capacity(n_queries);
-        for q in spec.queries() {
-            match &q.kind {
-                QueryKind::Subset(members) => {
-                    let size = members.count_ones();
-                    self.auditor.refuse_with(|| {
-                        format!(
-                            "unanswerable: subset-sum query (|q| = {size}) \
-                             against the tabular counting engine"
-                        )
-                    });
-                    targets.push(None);
-                    plan_targets.push(None);
-                    answers.push(WorkloadAnswer::Unanswerable);
-                }
-                QueryKind::Pred(id) => {
-                    let tid = self.pool.import(spec.pool(), *id, &mut memo);
-                    targets.push(Some(tid));
-                    if self.auditor.admit_with(|| spec.pool().render(*id)) {
-                        plan_targets.push(Some(tid));
-                        // Placeholder; overwritten from the plan outcome.
-                        answers.push(WorkloadAnswer::Count(0));
-                    } else {
-                        plan_targets.push(None);
-                        answers.push(WorkloadAnswer::Refused);
-                    }
-                }
-            }
-        }
-        let plan = QueryPlan::compile(&self.pool, plan_targets);
-        let (outcomes, mut stats) = self.executor.execute(
+        let (plan, mut answers, targets) = lower_workload(spec, &mut self.pool, &mut self.auditor);
+        let (outcomes, stats) = self.executor.execute(
             &plan,
             &self.pool,
             self.ds,
@@ -282,27 +318,17 @@ impl<'a> CountingEngine<'a> {
                 };
             }
         }
-        // The plan counts refused/subset queries (None targets) as
-        // unanswerable; report the real per-answer split instead.
-        stats.queries = n_queries;
-        stats.unanswerable = answers
-            .iter()
-            .filter(|a| matches!(a, WorkloadAnswer::Unanswerable))
-            .count();
-        self.absorb(stats);
+        let out = WorkloadAnswers::settle(answers, targets, stats);
+        self.absorb(out.stats);
         if so_obs::enabled() {
             span.finish_with(&[
-                ("queries", n_queries.to_string()),
-                ("atom_scans", stats.atom_scans.to_string()),
-                ("cache_hits", stats.cache_hits.to_string()),
-                ("unanswerable", stats.unanswerable.to_string()),
+                ("queries", out.stats.queries.to_string()),
+                ("atom_scans", out.stats.atom_scans.to_string()),
+                ("cache_hits", out.stats.cache_hits.to_string()),
+                ("unanswerable", out.stats.unanswerable.to_string()),
             ]);
         }
-        WorkloadAnswers {
-            answers,
-            targets,
-            stats,
-        }
+        out
     }
 
     fn absorb(&mut self, stats: PlanStats) {

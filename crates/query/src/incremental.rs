@@ -26,22 +26,20 @@
 //!
 //! Per-segment plan execution goes through the same
 //! [`ParallelExecutor`] as everything else, so answers stay bit-identical
-//! across `SO_THREADS` / `SO_SCHEDULE` — the property the
+//! across `SO_THREADS` — the property the
 //! [`MutationTranscript`](crate::transcript::MutationTranscript) proptests
 //! and the E19 CI job enforce.
 //!
 //! [`Dataset::version`]: so_data::Dataset::version
 
-use std::collections::HashMap;
-
 use so_data::{MutationEffect, SelectionVector, Value, VersionedDataset};
-use so_plan::ir::{Atom, ExprId, PredNode, PredPool};
+use so_plan::ir::{Atom, PredNode, PredPool};
 use so_plan::parallel::ParallelExecutor;
 use so_plan::plan::{NodeCache, PlanStats, QueryPlan};
-use so_plan::workload::{QueryKind, WorkloadSpec};
+use so_plan::workload::WorkloadSpec;
 
 use crate::audit::QueryAuditor;
-use crate::engine::{WorkloadAnswer, WorkloadAnswers};
+use crate::engine::{lower_workload, WorkloadAnswer, WorkloadAnswers};
 
 /// One segment's compiled bitmaps, stamped with the segment dataset version
 /// they were computed at (`None` = never built).
@@ -53,7 +51,7 @@ struct SegmentCache {
 
 /// Deterministic tallies of what the incremental engine did. Every field is
 /// a pure function of the mutation/workload sequence — invariant across
-/// thread counts and schedules — so transcripts may print
+/// thread counts — so transcripts may print
 /// them verbatim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
@@ -116,13 +114,6 @@ impl IncrementalEngine {
             plan_stats: PlanStats::default(),
             stats: IncrementalStats::default(),
         }
-    }
-
-    /// Replaces the plan executor (thread count / schedule policy). Answers
-    /// are bit-identical under every executor configuration; this is purely
-    /// a throughput knob.
-    pub fn set_executor(&mut self, executor: ParallelExecutor) {
-        self.executor = executor;
     }
 
     /// Sets the worker thread count for per-segment plan execution.
@@ -205,40 +196,7 @@ impl IncrementalEngine {
         self.stats.workloads += 1;
         self.refresh_segment_caches();
 
-        let mut memo = HashMap::new();
-        let n_queries = spec.len();
-        let mut targets: Vec<Option<ExprId>> = Vec::with_capacity(n_queries);
-        let mut plan_targets: Vec<Option<ExprId>> = Vec::with_capacity(n_queries);
-        let mut answers: Vec<WorkloadAnswer> = Vec::with_capacity(n_queries);
-        for q in spec.queries() {
-            match &q.kind {
-                QueryKind::Subset(members) => {
-                    let size = members.count_ones();
-                    self.auditor.refuse_with(|| {
-                        format!(
-                            "unanswerable: subset-sum query (|q| = {size}) \
-                             against the incremental counting engine"
-                        )
-                    });
-                    targets.push(None);
-                    plan_targets.push(None);
-                    answers.push(WorkloadAnswer::Unanswerable);
-                }
-                QueryKind::Pred(id) => {
-                    let tid = self.pool.import(spec.pool(), *id, &mut memo);
-                    targets.push(Some(tid));
-                    if self.auditor.admit_with(|| spec.pool().render(*id)) {
-                        plan_targets.push(Some(tid));
-                        answers.push(WorkloadAnswer::Count(0)); // placeholder
-                    } else {
-                        plan_targets.push(None);
-                        answers.push(WorkloadAnswer::Refused);
-                    }
-                }
-            }
-        }
-
-        let plan = QueryPlan::compile(&self.pool, plan_targets);
+        let (plan, mut answers, targets) = lower_workload(spec, &mut self.pool, &mut self.auditor);
         let mut stats = PlanStats::default();
         for i in 0..self.data.n_segments() {
             self.seed_shortcuts(&plan, i);
@@ -278,19 +236,10 @@ impl IncrementalEngine {
             };
         }
 
-        stats.queries = n_queries;
-        stats.unanswerable = answers
-            .iter()
-            .filter(|a| matches!(a, WorkloadAnswer::Unanswerable))
-            .count();
         self.plan_stats.nodes_evaluated += stats.nodes_evaluated;
         self.plan_stats.atom_scans += stats.atom_scans;
         self.plan_stats.cache_hits += stats.cache_hits;
-        WorkloadAnswers {
-            answers,
-            targets,
-            stats,
-        }
+        WorkloadAnswers::settle(answers, targets, stats)
     }
 
     /// Aligns the per-segment caches with the dataset's current shape:
@@ -374,7 +323,6 @@ mod tests {
     use crate::engine::{count_dataset_scalar, CountingEngine};
     use crate::predicate::RowPredicate;
     use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema};
-    use so_plan::parallel::SchedulePolicy;
     use so_plan::shape::PredShape;
     use so_plan::workload::Noise;
     use std::sync::Arc;
@@ -580,28 +528,23 @@ mod tests {
     }
 
     #[test]
-    fn answers_are_identical_across_threads_and_schedules() {
+    fn answers_are_identical_across_threads() {
         let mut reference: Option<Vec<WorkloadAnswer>> = None;
-        for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
-            for threads in [1usize, 2, 4, 8] {
-                let mut eng = IncrementalEngine::new(
-                    VersionedDataset::with_compact_threshold(base(500), 2),
-                    None,
-                );
-                eng.set_executor(ParallelExecutor::with_threads_and_policy(threads, policy));
-                eng.insert_rows(&[vec![Value::Int(20), Value::Int(3)]]);
-                eng.delete_live(&[0, 250]);
-                eng.insert_rows(&[vec![Value::Missing, Value::Int(3)]]);
-                let spec = workload(eng.dataset().n_live());
-                let mut all = eng.execute_workload(&spec).answers;
-                all.extend(eng.execute_workload(&spec).answers);
-                match &reference {
-                    None => reference = Some(all),
-                    Some(r) => assert_eq!(
-                        &all, r,
-                        "answers diverged at {threads} threads / {policy:?}"
-                    ),
-                }
+        for threads in [1usize, 2, 4, 8] {
+            let mut eng = IncrementalEngine::new(
+                VersionedDataset::with_compact_threshold(base(500), 2),
+                None,
+            );
+            eng.set_threads(threads);
+            eng.insert_rows(&[vec![Value::Int(20), Value::Int(3)]]);
+            eng.delete_live(&[0, 250]);
+            eng.insert_rows(&[vec![Value::Missing, Value::Int(3)]]);
+            let spec = workload(eng.dataset().n_live());
+            let mut all = eng.execute_workload(&spec).answers;
+            all.extend(eng.execute_workload(&spec).answers);
+            match &reference {
+                None => reference = Some(all),
+                Some(r) => assert_eq!(&all, r, "answers diverged at {threads} threads"),
             }
         }
     }

@@ -4,10 +4,9 @@
 //! A [`MutationTranscript`] is pure data — a starting relation plus an
 //! ordered op list — and [`MutationTranscript::replay`] is a pure function
 //! of (transcript, [`ReplayConfig`]): the textual log and the per-workload
-//! answers it produces must be *byte-identical* across thread counts and
-//! schedule policies, and the answers must further be
-//! identical across compaction thresholds (the log may differ there, since
-//! it narrates segment layout). The E19 experiment checks a transcript of
+//! answers it produces must be *byte-identical* across thread counts, and
+//! the answers must further be identical across compaction thresholds (the
+//! log may differ there, since it narrates segment layout). The E19 experiment checks a transcript of
 //! this shape into the repo and CI replays it under every configuration
 //! axis; the proptests in `tests/transcript_proptests.rs` do the same for
 //! *arbitrary* generated transcripts, and additionally compare every answer
@@ -24,7 +23,6 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use so_data::{Dataset, DatasetBuilder, Schema, Value, VersionedDataset};
-use so_plan::parallel::{ParallelExecutor, SchedulePolicy};
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
 
@@ -68,14 +66,12 @@ pub struct MutationTranscript {
 }
 
 /// The explicit execution configuration for a replay. Env knobs
-/// (`SO_THREADS`, `SO_SCHEDULE`, `SO_COMPACT_THRESHOLD`) are
+/// (`SO_THREADS`, `SO_COMPACT_THRESHOLD`) are
 /// process-global; tests sweep configurations by passing them here instead.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplayConfig {
     /// Worker threads for per-segment plan execution.
     pub threads: usize,
-    /// Shard schedule (static ranges or morsel stealing).
-    pub policy: SchedulePolicy,
     /// Delta-segment count that triggers compaction.
     pub compact_threshold: usize,
 }
@@ -84,7 +80,6 @@ impl Default for ReplayConfig {
     fn default() -> Self {
         ReplayConfig {
             threads: 1,
-            policy: SchedulePolicy::Static,
             compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
         }
     }
@@ -94,7 +89,7 @@ impl Default for ReplayConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayOutcome {
     /// Human-readable narration, one line per op plus a trailing summary.
-    /// Byte-identical across threads and schedules for a fixed
+    /// Byte-identical across thread counts for a fixed
     /// compaction threshold.
     pub log: String,
     /// Per-workload answers, in op order.
@@ -116,10 +111,7 @@ impl MutationTranscript {
             VersionedDataset::with_compact_threshold(ds, cfg.compact_threshold),
             None,
         );
-        eng.set_executor(ParallelExecutor::with_threads_and_policy(
-            cfg.threads,
-            cfg.policy,
-        ));
+        eng.set_threads(cfg.threads);
         let mut log = String::new();
         let mut answers = Vec::new();
         for op in &self.ops {
@@ -336,18 +328,12 @@ mod tests {
             "incremental replay diverged from the from-scratch oracle"
         );
         assert_eq!(reference.n_live, t.final_live_rows());
-        for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
-            for threads in [1usize, 3, 8] {
-                let out = t.replay(&ReplayConfig {
-                    threads,
-                    policy,
-                    compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
-                });
-                assert_eq!(
-                    out, reference,
-                    "replay diverged at {threads} threads / {policy:?}"
-                );
-            }
+        for threads in [1usize, 3, 8] {
+            let out = t.replay(&ReplayConfig {
+                threads,
+                compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
+            });
+            assert_eq!(out, reference, "replay diverged at {threads} threads");
         }
     }
 

@@ -1,14 +1,13 @@
 //! Property tests for mutation-transcript replay: any generated
 //! interleaving of inserts, deletes, and workloads must (a) answer exactly
 //! like a from-scratch rebuild of the final logical relation, and (b)
-//! produce byte-identical logs and answers across thread counts and
-//! schedule policies — and answer-identical across compaction thresholds.
+//! produce byte-identical logs and answers across thread counts — and
+//! answer-identical across compaction thresholds.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use so_data::{AttributeDef, AttributeRole, DataType, Schema, Value, DELTA_SEGMENT_ROWS};
-use so_plan::parallel::SchedulePolicy;
 use so_plan::shape::PredShape;
 use so_plan::workload::Noise;
 use so_query::{MutationOp, MutationTranscript, ReplayConfig};
@@ -111,7 +110,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Replay equals the from-scratch oracle, byte-identically, under every
-    /// thread count × schedule policy; answers are further
+    /// thread count; answers are further
     /// invariant across compaction thresholds (eager vs never).
     #[test]
     fn replay_is_deterministic_and_matches_rebuild(
@@ -126,21 +125,12 @@ proptest! {
             "incremental replay diverged from the from-scratch rebuild"
         );
         prop_assert_eq!(reference.n_live, t.final_live_rows());
-        for &policy in &[SchedulePolicy::Static, SchedulePolicy::Morsel] {
-            for threads in [1usize, 2, 8] {
-                let out = t.replay(&ReplayConfig {
-                    threads,
-                    policy,
-                    compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
-                });
-                prop_assert_eq!(
-                    &out,
-                    &reference,
-                    "diverged at {} threads / {:?}",
-                    threads,
-                    policy
-                );
-            }
+        for threads in [1usize, 2, 8] {
+            let out = t.replay(&ReplayConfig {
+                threads,
+                compact_threshold: so_data::DEFAULT_COMPACT_THRESHOLD,
+            });
+            prop_assert_eq!(&out, &reference, "diverged at {} threads", threads);
         }
         let eager = t.replay(&ReplayConfig { compact_threshold: 1, ..ReplayConfig::default() });
         let lazy = t.replay(&ReplayConfig {
@@ -186,7 +176,6 @@ proptest! {
         for threads in [2usize, 8] {
             let out = t.replay(&ReplayConfig {
                 threads,
-                policy: SchedulePolicy::Morsel,
                 compact_threshold: 2,
             });
             prop_assert_eq!(&out.answers, &reference.answers);

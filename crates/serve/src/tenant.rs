@@ -327,11 +327,7 @@ impl Tenant {
         let mut answers = Vec::with_capacity(spec.len());
         for (i, q) in spec.queries().iter().enumerate() {
             let truth = match &q.kind {
-                QueryKind::Subset(mask) => mask
-                    .iter()
-                    .enumerate()
-                    .filter(|&(r, m)| m && self.secret.get(r))
-                    .count() as f64,
+                QueryKind::Subset(mask) => mask.and_count(&self.secret) as f64,
                 QueryKind::Pred(_) => match executed.answers[i] {
                     WorkloadAnswer::Count(c) => c as f64,
                     other => unreachable!("predicate answered {other:?}"),

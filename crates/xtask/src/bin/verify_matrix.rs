@@ -1,8 +1,8 @@
 //! `cargo run -p xtask --bin verify_matrix` — the determinism matrix.
 //!
 //! Executes every [`xtask::verify::cases`] experiment under every
-//! [`xtask::verify::variants`] configuration (threads × storage × schedule ×
-//! tracing, plus compaction where declared) and requires:
+//! [`xtask::verify::variants`] configuration (threads × tracing × flight
+//! cap, plus compaction where declared) and requires:
 //!
 //! * every variant's transcript byte-identical to the `t1` baseline;
 //! * the baseline byte-identical to the checked-in `experiments/` artifact,

@@ -101,7 +101,7 @@ pub const fn cases() -> &'static [CaseSpec] {
 /// One configuration-axis variant of a case run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Variant {
-    /// Scratch-file label (`morsel_t8`).
+    /// Scratch-file label (`flight4_t8`).
     pub label: &'static str,
     /// Environment to set on top of a scrubbed `SO_*` environment.
     pub env: &'static [(&'static str, &'static str)],
@@ -128,11 +128,6 @@ pub const fn variants() -> &'static [Variant] {
         Variant {
             label: "t8_again",
             env: &[("SO_THREADS", "8")],
-            traced: false,
-        },
-        Variant {
-            label: "morsel_t8",
-            env: &[("SO_THREADS", "8"), ("SO_SCHEDULE", "morsel")],
             traced: false,
         },
         Variant {
@@ -227,9 +222,8 @@ pub fn first_difference(left: &str, right: &str) -> Option<Difference> {
 /// Environment variables that steer the engines; every run starts from a
 /// scrubbed slate so the invoking shell can't leak configuration into a
 /// variant.
-pub const SO_ENV_VARS: [&str; 7] = [
+pub const SO_ENV_VARS: [&str; 6] = [
     "SO_THREADS",
-    "SO_SCHEDULE",
     "SO_COMPACT_THRESHOLD",
     "SO_TRACE",
     "SO_METRICS",
@@ -280,9 +274,6 @@ mod tests {
             .filter(|v| v.env == [("SO_THREADS", "8")] && !v.traced)
             .collect();
         assert_eq!(t8.len(), 2, "need t8 and t8_again");
-        assert!(vs
-            .iter()
-            .any(|v| v.env.contains(&("SO_SCHEDULE", "morsel"))));
         // The flight-recorder cap must be swept: transcripts may print the
         // cumulative total and newest few records, never anything
         // cap-shaped.
