@@ -127,6 +127,7 @@ pub(crate) fn refused_answers(n: usize) -> WorkloadAnswers {
             queries: n,
             ..PlanStats::default()
         },
+        rows_scanned: 0,
     }
 }
 

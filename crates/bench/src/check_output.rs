@@ -91,12 +91,13 @@ pub fn parse_bench_output(text: &str) -> BenchReport {
 }
 
 /// Bench groups the recorded artifact must cover.
-pub const REQUIRED_GROUPS: [&str; 11] = [
+pub const REQUIRED_GROUPS: [&str; 12] = [
     "subset_sum_true_answer",
     "count_range_100k",
     "select_range_100k",
     "counting_engine_cached",
     "workload_planning",
+    "distinct_rows",
     "shard_scaling",
     "storage_scan",
     "incremental_scan",

@@ -5,9 +5,21 @@
 //! strings. Storage is column-major with a per-column missing mask, which
 //! keeps predicate evaluation (the hot loop of every counting mechanism and
 //! every equivalence-class grouping) a tight scan over a homogeneous vector.
+//!
+//! A count over a table is linear in the histogram of its rows, so a
+//! dataset with few distinct rows also has a small **distinct-row form**
+//! ([`Dataset::distinct_rows`]): one representative row per distinct row
+//! plus a `u64` weight per representative (its multiplicity). A predicate
+//! that reads only cell values selects equal rows together, so its count
+//! over the dataset is the weighted count of its selection over the form.
+//! The form exists only when there are at most `n_rows / 64` distinct rows
+//! — a pure function of the data — so a scan of the form costs at most
+//! 1/64 of a full scan. It is built lazily, once, by one typed pass that
+//! stops as soon as the cap is exceeded, and [`Dataset::append_rows`]
+//! drops it.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::date::Date;
 use crate::interner::{Interner, Symbol};
@@ -87,6 +99,24 @@ impl ColumnData {
             ColumnData::Str(_) => DataType::Str,
             ColumnData::Bool(_) => DataType::Bool,
             ColumnData::Date(_) => DataType::Date,
+        }
+    }
+
+    /// Writes the cells of `rows` as key words into `out` (one word every
+    /// `stride`): equal words ⇔ equal cells under [`Value`]'s `Eq`
+    /// (floats by bit pattern, which `total_cmp` equality is).
+    fn key_words(&self, rows: std::ops::Range<usize>, out: &mut [u64], stride: usize) {
+        fn fill<T: Copy>(vals: &[T], out: &mut [u64], stride: usize, word: impl Fn(T) -> u64) {
+            for (slot, &v) in out.iter_mut().step_by(stride).zip(vals) {
+                *slot = word(v);
+            }
+        }
+        match self {
+            ColumnData::Int(v) => fill(&v[rows], out, stride, |x| x as u64),
+            ColumnData::Float(v) => fill(&v[rows], out, stride, f64::to_bits),
+            ColumnData::Str(v) => fill(&v[rows], out, stride, |x| u64::from(x.index())),
+            ColumnData::Bool(v) => fill(&v[rows], out, stride, u64::from),
+            ColumnData::Date(v) => fill(&v[rows], out, stride, |x| u64::from(x as u32)),
         }
     }
 
@@ -231,6 +261,110 @@ pub struct Dataset {
     n_rows: usize,
     /// Monotone content version: 0 at build, +1 per [`Dataset::append_rows`].
     version: u64,
+    /// The distinct-row form, built on first use: `Some` when the dataset
+    /// qualifies, `None` when it was found not to. Shared by clones.
+    distinct: OnceLock<Option<Arc<DistinctRows>>>,
+}
+
+/// Rows per distinct row a dataset needs for its distinct-row form to
+/// exist: the form holds at most `n_rows / DISTINCT_ROW_DIVISOR` rows.
+const DISTINCT_ROW_DIVISOR: usize = 64;
+
+/// The weighted distinct-row form of a [`Dataset`] (see
+/// [`Dataset::distinct_rows`]): one representative per distinct row, in
+/// order of first occurrence, and each one's multiplicity.
+#[derive(Debug)]
+pub struct DistinctRows {
+    rows: Dataset,
+    weights: Vec<u64>,
+}
+
+impl DistinctRows {
+    /// The representative rows — a [`Dataset::select_rows`] of each
+    /// distinct row's first occurrence, sharing schema and interner.
+    pub fn rows(&self) -> &Dataset {
+        &self.rows
+    }
+
+    /// Per-representative multiplicities; they sum to the source
+    /// dataset's row count.
+    pub fn weights(&self) -> &[u64] {
+        &self.weights
+    }
+}
+
+/// The distinct-row build's table: an open-addressing map from a row key
+/// (`width` words) to its slot, with the keys stored flat in slot order.
+/// It allocates only as distinct rows arrive, never per row.
+struct RowSlots {
+    width: usize,
+    /// Slot `s`'s key is `keys[s * width..(s + 1) * width]`.
+    keys: Vec<u64>,
+    /// `slot + 1` per bucket, 0 when empty; a power of two at most half
+    /// full.
+    buckets: Vec<u32>,
+}
+
+impl RowSlots {
+    fn new(width: usize) -> Self {
+        RowSlots {
+            width,
+            keys: Vec::new(),
+            buckets: vec![0; 64],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len() / self.width
+    }
+
+    /// Multiply-rotate hash; the top bits index the buckets (they are the
+    /// best mixed after the final multiply).
+    fn bucket_of(&self, key: &[u64]) -> usize {
+        let mut h = 0u64;
+        for &w in key {
+            h = (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        (h >> (64 - self.buckets.len().trailing_zeros())) as usize
+    }
+
+    /// `Ok(slot)` if `key` is present, else `Err(bucket)` to insert at.
+    fn find(&self, key: &[u64]) -> Result<usize, usize> {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.bucket_of(key);
+        loop {
+            match self.buckets[b] as usize {
+                0 => return Err(b),
+                s if self.keys[(s - 1) * self.width..s * self.width]
+                    .iter()
+                    .zip(key)
+                    .all(|(a, b)| a == b) =>
+                {
+                    return Ok(s - 1)
+                }
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    /// Stores `key` as the next slot, in the bucket [`RowSlots::find`]
+    /// returned for it.
+    fn insert(&mut self, bucket: usize, key: &[u64]) {
+        self.keys.extend_from_slice(key);
+        self.buckets[bucket] = u32::try_from(self.len()).expect("distinct rows fit in u32");
+        if 2 * self.len() > self.buckets.len() {
+            let grown = vec![0; 2 * self.buckets.len()];
+            let old = std::mem::replace(&mut self.buckets, grown);
+            for s in old.into_iter().filter(|&s| s != 0) {
+                let s = s as usize;
+                let key = &self.keys[(s - 1) * self.width..s * self.width];
+                let Err(b) = self.find(key) else {
+                    unreachable!("keys are distinct")
+                };
+                self.buckets[b] = s as u32;
+            }
+        }
+    }
 }
 
 impl Dataset {
@@ -303,11 +437,88 @@ impl Dataset {
         self.version
     }
 
+    /// The weighted distinct-row form, or `None` when the dataset has more
+    /// than `n_rows / 64` distinct rows (an empty or sub-64-row dataset
+    /// has none).
+    ///
+    /// Built on first call by one pass over the rows that keys each row by
+    /// its typed cells (one word per cell plus the missing flags; floats by
+    /// bit pattern), allocates only per distinct row, and stops as soon as
+    /// the cap is exceeded. The verdict either way is kept until
+    /// [`Dataset::append_rows`], and clones share it. The build emits one
+    /// `data.distinct_rows` span with `rows`, `distinct` (rows found; cap +
+    /// 1 when the pass stopped early) and `eligible`.
+    pub fn distinct_rows(&self) -> Option<&DistinctRows> {
+        self.distinct
+            .get_or_init(|| self.build_distinct_rows().map(Arc::new))
+            .as_deref()
+    }
+
+    fn build_distinct_rows(&self) -> Option<DistinctRows> {
+        let cap = self.n_rows / DISTINCT_ROW_DIVISOR;
+        if cap == 0 {
+            return None;
+        }
+        let span = so_obs::span("data.distinct_rows");
+        // Keys are built a block of rows at a time, column by column, so
+        // the per-cell type dispatch happens once per block.
+        const BLOCK: usize = 256;
+        let n_cols = self.columns.len();
+        // At least one word, so a dataset without columns is one row.
+        let width = (n_cols + n_cols.div_ceil(64)).max(1);
+        let mut block = vec![0u64; BLOCK * width];
+        let mut slots = RowSlots::new(width);
+        let mut reps: Vec<usize> = Vec::new();
+        let mut weights: Vec<u64> = Vec::new();
+        let mut eligible = true;
+        'rows: for start in (0..self.n_rows).step_by(BLOCK) {
+            let rows = start..(start + BLOCK).min(self.n_rows);
+            let keys = &mut block[..rows.len() * width];
+            keys.fill(0);
+            for (c, column) in self.columns.iter().enumerate() {
+                column.data.key_words(rows.clone(), &mut keys[c..], width);
+                for (r, &missing) in column.missing[rows.clone()].iter().enumerate() {
+                    if missing {
+                        keys[r * width + c] = 0;
+                        keys[r * width + n_cols + c / 64] |= 1 << (c % 64);
+                    }
+                }
+            }
+            for (row, key) in rows.zip(keys.chunks_exact(width)) {
+                match slots.find(key) {
+                    Ok(slot) => weights[slot] += 1,
+                    Err(_) if reps.len() == cap => {
+                        eligible = false;
+                        break 'rows;
+                    }
+                    Err(bucket) => {
+                        slots.insert(bucket, key);
+                        reps.push(row);
+                        weights.push(1);
+                    }
+                }
+            }
+        }
+        let distinct = reps.len() + usize::from(!eligible);
+        if so_obs::enabled() {
+            span.finish_with(&[
+                ("rows", self.n_rows.to_string()),
+                ("distinct", distinct.to_string()),
+                ("eligible", eligible.to_string()),
+            ]);
+        }
+        eligible.then(|| DistinctRows {
+            rows: self.select_rows(&reps),
+            weights,
+        })
+    }
+
     /// Appends rows in place — the mutation primitive behind the
     /// incremental engine's open delta segment.
     ///
-    /// Bumps [`Dataset::version`]. Clones taken before the append keep their
-    /// own rows and their own version, so they are unaffected. Because the interner is shared and append-only-frozen,
+    /// Bumps [`Dataset::version`] and drops the distinct-row form. Clones
+    /// taken before the append keep their own rows, version and form, so
+    /// they are unaffected. Because the interner is shared and append-only-frozen,
     /// [`Value::Str`] cells must carry symbols already interned — derive
     /// them via [`Dataset::interner`] lookups or intern everything up front
     /// in the builder.
@@ -341,6 +552,7 @@ impl Dataset {
             self.n_rows += 1;
         }
         self.version += 1;
+        self.distinct = OnceLock::new();
     }
 
     /// An empty dataset over the same schema and interner — the
@@ -358,6 +570,7 @@ impl Dataset {
                 .collect(),
             n_rows: 0,
             version: 0,
+            distinct: OnceLock::new(),
         }
     }
 
@@ -376,6 +589,7 @@ impl Dataset {
             columns,
             n_rows: indices.len(),
             version: 0,
+            distinct: OnceLock::new(),
         }
     }
 
@@ -510,6 +724,7 @@ impl DatasetBuilder {
             columns: self.columns,
             n_rows: self.n_rows,
             version: 0,
+            distinct: OnceLock::new(),
         }
     }
 }
@@ -741,6 +956,117 @@ mod tests {
             Value::Str(foreign),
             Value::Missing,
         ]]);
+    }
+
+    /// An Int/Float/Str dataset of `n` rows whose row `i` repeats pattern
+    /// `i % k`; pattern 3 carries missing cells and pattern 1 a NaN.
+    fn patterned(n: usize, k: usize) -> Dataset {
+        let schema = Schema::new(vec![
+            AttributeDef::new("a", DataType::Int, AttributeRole::QuasiIdentifier),
+            AttributeDef::new("x", DataType::Float, AttributeRole::QuasiIdentifier),
+            AttributeDef::new("s", DataType::Str, AttributeRole::Sensitive),
+        ]);
+        let mut b = DatasetBuilder::new(schema);
+        let syms = [b.intern("p"), b.intern("q")];
+        for i in 0..n {
+            let p = i % k;
+            let x = match p {
+                0 => 0.0,
+                1 => f64::NAN,
+                2 => -0.0,
+                _ => p as f64,
+            };
+            if p == 3 {
+                b.push_row(vec![Value::Missing, Value::Float(x), Value::Missing]);
+            } else {
+                b.push_row(vec![
+                    Value::Int((p / 2) as i64),
+                    Value::Float(x),
+                    Value::Str(syms[p % 2]),
+                ]);
+            }
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn distinct_rows_weigh_each_representative_by_its_multiplicity() {
+        let ds = patterned(1000, 9);
+        let form = ds.distinct_rows().expect("9 distinct rows <= 1000 / 64");
+        // +0.0 and -0.0 stay apart, as under Value's total order.
+        assert_eq!(form.rows().n_rows(), 9);
+        assert_eq!(form.weights().iter().sum::<u64>(), 1000);
+        for (r, &w) in form.weights().iter().enumerate() {
+            // Representatives come in first-occurrence order: row r of
+            // the form is row r of the dataset.
+            assert_eq!(form.rows().row_values(r), ds.row_values(r));
+            let expect = (0..1000)
+                .filter(|i| ds.row_values(*i) == ds.row_values(r))
+                .count();
+            assert_eq!(w, expect as u64, "representative {r}");
+        }
+        assert!(Arc::ptr_eq(ds.interner(), form.rows().interner()));
+        // Built once; the second call returns the same form.
+        assert!(std::ptr::eq(form, ds.distinct_rows().unwrap()));
+    }
+
+    #[test]
+    fn distinct_rows_exist_only_at_or_below_n_over_64() {
+        for n in [640usize, 700, 1000, 63 * 64 + 5] {
+            let cap = n / 64;
+            let at = patterned(n, cap);
+            assert_eq!(
+                at.distinct_rows().map(|f| f.rows().n_rows()),
+                Some(cap),
+                "n {n}"
+            );
+            assert!(patterned(n, cap + 1).distinct_rows().is_none(), "n {n}");
+        }
+        // Fewer than 64 rows (and no rows): no form.
+        assert!(patterned(63, 1).distinct_rows().is_none());
+        // No columns: every row is the same (empty) row.
+        let mut b = DatasetBuilder::new(Schema::new(vec![]));
+        for _ in 0..128 {
+            b.push_row(vec![]);
+        }
+        assert_eq!(b.finish().distinct_rows().unwrap().weights(), &[128]);
+        assert!(patterned(0, 1).distinct_rows().is_none());
+        assert!(toy_dataset().distinct_rows().is_none());
+    }
+
+    #[test]
+    fn a_missing_cell_is_not_its_placeholder() {
+        // Missing Int cells store 0 and missing Str cells the "" symbol;
+        // neither may merge with a real 0 or "".
+        let schema = Schema::new(vec![
+            AttributeDef::new("a", DataType::Int, AttributeRole::QuasiIdentifier),
+            AttributeDef::new("s", DataType::Str, AttributeRole::QuasiIdentifier),
+        ]);
+        let mut b = DatasetBuilder::new(schema);
+        let empty = b.intern("");
+        for i in 0..256 {
+            b.push_row(match i % 4 {
+                0 => vec![Value::Missing, Value::Str(empty)],
+                1 => vec![Value::Int(0), Value::Str(empty)],
+                2 => vec![Value::Int(0), Value::Missing],
+                _ => vec![Value::Missing, Value::Missing],
+            });
+        }
+        let ds = b.finish();
+        assert_eq!(ds.distinct_rows().unwrap().weights(), &[64; 4]);
+    }
+
+    #[test]
+    fn append_rows_drops_the_distinct_row_form() {
+        let mut ds = patterned(128, 2);
+        assert_eq!(ds.distinct_rows().unwrap().weights(), &[64, 64]);
+        let clone = ds.clone();
+        let p = ds.interner().get("p").unwrap();
+        ds.append_rows(&[vec![Value::Int(7), Value::Float(1.5), Value::Str(p)]]);
+        // 3 distinct rows > 129 / 64: the stale two-row form is gone.
+        assert!(ds.distinct_rows().is_none());
+        // The pre-append clone keeps its own form.
+        assert_eq!(clone.distinct_rows().unwrap().weights(), &[64, 64]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod value;
 pub mod versioned;
 
 pub use bits::{column_counts, BitDataset, BitVec};
-pub use dataset::{Dataset, DatasetBuilder, RowRef};
+pub use dataset::{Dataset, DatasetBuilder, DistinctRows, RowRef};
 pub use date::Date;
 pub use dist::{
     Categorical, ProductBernoulli, RecordDistribution, RowDistribution, UniformBits, Zipf,

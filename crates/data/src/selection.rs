@@ -164,6 +164,26 @@ impl SelectionVector {
             .sum()
     }
 
+    /// Sum of `weights[i]` over the selected rows `i` — the count over a
+    /// dataset of the rows a selection over its distinct-row form picks
+    /// (see [`crate::Dataset::distinct_rows`]). One word loop over the set
+    /// bits.
+    ///
+    /// # Panics
+    /// Panics if `weights.len()` differs from the selection length.
+    pub fn weighted_count(&self, weights: &[u64]) -> u64 {
+        assert_eq!(weights.len(), self.len, "weight length mismatch");
+        let mut total = 0u64;
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                total += weights[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
+        }
+        total
+    }
+
     /// True iff no row is selected.
     pub fn is_none(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -415,6 +435,31 @@ mod tests {
             assert_eq!(all.not().count(), 0, "len {len}");
             assert_eq!(none.not().count(), len, "len {len}");
         }
+    }
+
+    #[test]
+    fn weighted_count_matches_the_naive_sum() {
+        for len in [0usize, 1, 63, 64, 65, 130, 200] {
+            let weights: Vec<u64> = (0..len as u64).map(|i| i * i % 17 + 1).collect();
+            for stride in [1usize, 2, 3, 7, 64] {
+                let sel = SelectionVector::from_fn(len, |i| i % stride == 0);
+                let naive: u64 = (0..len).filter(|&i| sel.get(i)).map(|i| weights[i]).sum();
+                assert_eq!(
+                    sel.weighted_count(&weights),
+                    naive,
+                    "len {len} stride {stride}"
+                );
+            }
+            assert_eq!(SelectionVector::none(len).weighted_count(&weights), 0);
+            let ones = vec![1u64; len];
+            assert_eq!(SelectionVector::all(len).weighted_count(&ones), len as u64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight length mismatch")]
+    fn weighted_count_length_mismatch_panics() {
+        SelectionVector::all(10).weighted_count(&[1; 9]);
     }
 
     #[test]

@@ -51,6 +51,14 @@ impl ExprId {
 
 /// An atomic predicate: carries its full payload, so two atoms are the same
 /// test iff they are equal.
+///
+/// **Contract:** a tabular atom (`IntRange`, `ValueEquals`, `RowHash`,
+/// `KeyedHash`) is a function of the row's cell values alone, under
+/// [`Value`]'s `Eq`/`Hash` — never of the row's index or of other rows.
+/// Rows equal in every cell are therefore selected together, which is what
+/// lets an engine count over a dataset's weighted distinct-row form
+/// ([`so_data::Dataset::distinct_rows`]). Anything that reads the row index
+/// must be an [`Atom::Opaque`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Atom {
     /// Integer range test `lo ≤ row[col] ≤ hi`.

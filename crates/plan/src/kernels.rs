@@ -13,6 +13,13 @@
 //! semantics, tabular atoms have no bit-string semantics, and
 //! [`Atom::Opaque`] atoms are executable only through a registered closure
 //! evaluator (see [`crate::workload::WorkloadSpec::push_predicate_arc`]).
+//!
+//! Every tabular kernel reads only the cell values of the row it decides
+//! (the [`Atom`] contract): the row index locates the cells and never
+//! enters the test. That is what makes a scan of a dataset's distinct-row
+//! form ([`so_data::Dataset::distinct_rows`]) plus a weighted popcount
+//! equal to a full scan plus a popcount. A kernel that needs the row index
+//! belongs behind an [`Atom::Opaque`] evaluator instead.
 
 use so_data::rng::keyed_hash;
 use so_data::{BitVec, Dataset, SelectionVector, Value};

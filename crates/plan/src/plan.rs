@@ -19,6 +19,14 @@
 //! Interning order guarantees a child's [`ExprId`] is smaller than its
 //! parent's, so increasing-id order over the reachable set is a valid
 //! evaluation schedule; no explicit topological sort is needed.
+//!
+//! A plan does not care which relation it runs over. `so-query`'s
+//! `CountingEngine` executes plans with no opaque atom against a dataset's
+//! weighted distinct-row form ([`so_data::Dataset::distinct_rows`]) when it
+//! has one, with a node cache of its own, and weighs each target's bitmap by
+//! row multiplicity ([`SelectionVector::weighted_count`]); the popcounts
+//! [`QueryPlan::execute`] returns then count distinct rows, and
+//! [`PlanStats`] counts scans of the form.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -24,11 +24,24 @@
 //! ranges, and bitmaps merge in range order, so answers are bit-identical
 //! to serial execution at every thread count. Atom scans read the dataset's
 //! typed column slices directly.
+//!
+//! ## Counting over distinct rows
+//!
+//! When the dataset has a weighted distinct-row form
+//! ([`Dataset::distinct_rows`]: at most `n_rows / 64` distinct rows), a
+//! [`CountingEngine`] runs every plan with no opaque atom through the same
+//! [`QueryPlan::execute`] and kernels, serially, against that form, with a
+//! second node cache for the form's bitmaps; each answer is the weighted
+//! popcount ([`SelectionVector::weighted_count`]) of its target's bitmap.
+//! This is exact because every tabular atom is a function of a row's cell
+//! values, so equal rows are selected together. Plans with an opaque atom
+//! (whose closure may read the row index) and datasets over the cap take
+//! the full bitmap path above, which stays the oracle.
 
 use std::collections::HashMap;
 
-use so_data::{Dataset, SelectionVector};
-use so_plan::ir::{ExprId, PredPool};
+use so_data::{Dataset, DistinctRows, SelectionVector};
+use so_plan::ir::{Atom, ExprId, PredNode, PredPool};
 use so_plan::parallel::ParallelExecutor;
 use so_plan::plan::{NodeCache, PlanOutcome, PlanStats, QueryPlan};
 use so_plan::workload::{QueryKind, WorkloadSpec};
@@ -92,6 +105,10 @@ pub struct WorkloadAnswers {
     pub targets: Vec<Option<ExprId>>,
     /// What executing the plan actually did (scans, cache hits, …).
     pub stats: PlanStats,
+    /// Rows the atom scans read: each scan times the rows of the relation
+    /// it ran against (the distinct-row form, the full dataset, or a
+    /// segment).
+    pub rows_scanned: u64,
 }
 
 impl WorkloadAnswers {
@@ -102,6 +119,7 @@ impl WorkloadAnswers {
         answers: Vec<WorkloadAnswer>,
         targets: Vec<Option<ExprId>>,
         mut stats: PlanStats,
+        rows_scanned: u64,
     ) -> Self {
         stats.queries = answers.len();
         stats.unanswerable = answers
@@ -112,6 +130,7 @@ impl WorkloadAnswers {
             answers,
             targets,
             stats,
+            rows_scanned,
         }
     }
 }
@@ -182,11 +201,18 @@ static NO_EVALUATORS: std::sync::OnceLock<HashMap<u64, std::sync::Arc<dyn RowPre
 /// where two differently-behaving predicates can share a label. Predicates
 /// whose shape is [`so_plan::PredShape::Volatile`] (no structure, no stable
 /// identity) are answered correctly but never interned or cached.
+///
+/// On a dataset with a distinct-row form, plans with no opaque atom run
+/// against the form instead (see the module docs), cached in a second
+/// node cache that [`CountingEngine::count`] and
+/// [`CountingEngine::execute_workload`] share.
 pub struct CountingEngine<'a> {
     ds: &'a Dataset,
     auditor: QueryAuditor,
     pool: PredPool,
     cache: NodeCache,
+    /// Bitmaps over the rows of `ds.distinct_rows()`.
+    form_cache: NodeCache,
     stats: PlanStats,
     executor: ParallelExecutor,
 }
@@ -205,6 +231,7 @@ impl<'a> CountingEngine<'a> {
             auditor,
             pool: PredPool::new(),
             cache: NodeCache::new(),
+            form_cache: NodeCache::new(),
             stats: PlanStats::default(),
             executor: ParallelExecutor::from_env(),
         }
@@ -242,23 +269,32 @@ impl<'a> CountingEngine<'a> {
             return Some(p.scan(self.ds).count());
         }
         let id = self.pool.lift(&shape);
-        if let Some(b) = self.cache.get(&id) {
+        let structural = shape.is_fully_structural();
+        let form = if structural {
+            self.ds.distinct_rows()
+        } else {
+            None
+        };
+        let cache = if form.is_some() {
+            &self.form_cache
+        } else {
+            &self.cache
+        };
+        if let Some(b) = cache.get(&id) {
             self.stats.cache_hits += 1;
             so_plan::obs::publish_stats(&PlanStats {
                 cache_hits: 1,
                 ..PlanStats::default()
             });
-            return Some(b.count());
+            return Some(weighed(b, form));
         }
-        if shape.is_fully_structural() {
+        if structural {
             // Node-by-node bitmap evaluation: subexpressions land in the
             // cache individually, so later queries sharing a conjunct reuse
             // its bitmap even if the full query is new.
             let plan = QueryPlan::compile(&self.pool, vec![Some(id)]);
             let evals = NO_EVALUATORS.get_or_init(HashMap::new);
-            let (outcomes, stats) =
-                self.executor
-                    .execute(&plan, &self.pool, self.ds, evals, &mut self.cache);
+            let (outcomes, stats, _) = self.run(&plan, evals);
             self.absorb(stats);
             match outcomes[0] {
                 PlanOutcome::Count(c) => Some(c),
@@ -303,13 +339,7 @@ impl<'a> CountingEngine<'a> {
         crate::obs::query_metrics().workloads.inc();
         let span = so_obs::span("engine.workload");
         let (plan, mut answers, targets) = lower_workload(spec, &mut self.pool, &mut self.auditor);
-        let (outcomes, stats) = self.executor.execute(
-            &plan,
-            &self.pool,
-            self.ds,
-            spec.evaluators(),
-            &mut self.cache,
-        );
+        let (outcomes, stats, rows_per_scan) = self.run(&plan, spec.evaluators());
         for (answer, outcome) in answers.iter_mut().zip(&outcomes) {
             if matches!(answer, WorkloadAnswer::Count(_)) {
                 *answer = match outcome {
@@ -318,7 +348,8 @@ impl<'a> CountingEngine<'a> {
                 };
             }
         }
-        let out = WorkloadAnswers::settle(answers, targets, stats);
+        let rows_scanned = (stats.atom_scans * rows_per_scan) as u64;
+        let out = WorkloadAnswers::settle(answers, targets, stats, rows_scanned);
         self.absorb(out.stats);
         if so_obs::enabled() {
             span.finish_with(&[
@@ -331,6 +362,41 @@ impl<'a> CountingEngine<'a> {
         out
     }
 
+    /// Executes `plan` against the distinct-row form when the dataset has
+    /// one and the plan reads no opaque atom (serially, into the form's
+    /// cache, answers weighed by multiplicity), else against the full
+    /// dataset through the executor. Also returns the rows of the relation
+    /// each atom scan read.
+    fn run(
+        &mut self,
+        plan: &QueryPlan,
+        evaluators: &HashMap<u64, std::sync::Arc<dyn RowPredicate>>,
+    ) -> (Vec<PlanOutcome>, PlanStats, usize) {
+        let opaque = plan
+            .order()
+            .iter()
+            .any(|&id| matches!(self.pool.node(id), PredNode::Atom(Atom::Opaque { .. })));
+        let form = if plan.order().is_empty() || opaque {
+            None
+        } else {
+            self.ds.distinct_rows()
+        };
+        let Some(form) = form else {
+            let (outcomes, stats) =
+                self.executor
+                    .execute(plan, &self.pool, self.ds, evaluators, &mut self.cache);
+            return (outcomes, stats, self.ds.n_rows());
+        };
+        let (mut outcomes, stats) =
+            plan.execute(&self.pool, form.rows(), evaluators, &mut self.form_cache);
+        for (outcome, target) in outcomes.iter_mut().zip(plan.targets()) {
+            if let (PlanOutcome::Count(c), Some(id)) = (outcome, target) {
+                *c = weighed(&self.form_cache[id], Some(form));
+            }
+        }
+        (outcomes, stats, form.rows().n_rows())
+    }
+
     fn absorb(&mut self, stats: PlanStats) {
         self.stats.nodes_evaluated += stats.nodes_evaluated;
         self.stats.atom_scans += stats.atom_scans;
@@ -338,9 +404,10 @@ impl<'a> CountingEngine<'a> {
     }
 
     /// Number of distinct compiled bitmaps currently cached (one per
-    /// distinct IR node the engine has evaluated, subexpressions included).
+    /// distinct IR node the engine has evaluated, subexpressions included),
+    /// over the full dataset and its distinct-row form together.
     pub fn cached_predicates(&self) -> usize {
-        self.cache.len()
+        self.cache.len() + self.form_cache.len()
     }
 
     /// Cumulative execution counters (scans, node evaluations, cache hits)
@@ -369,6 +436,15 @@ impl<'a> CountingEngine<'a> {
     /// The served dataset.
     pub fn dataset(&self) -> &'a Dataset {
         self.ds
+    }
+}
+
+/// The count a bitmap stands for: its popcount over the full dataset, or
+/// its weighted popcount over the distinct-row form.
+fn weighed(bitmap: &SelectionVector, form: Option<&DistinctRows>) -> usize {
+    match form {
+        Some(f) => bitmap.weighted_count(f.weights()) as usize,
+        None => bitmap.count(),
     }
 }
 
@@ -646,6 +722,158 @@ mod tests {
         assert!(out.targets[1].is_some());
         assert_eq!(e.auditor().queries_refused(), 1);
         assert_eq!(e.auditor().queries_answered(), 1);
+    }
+
+    /// 640 rows over the 5 ages of [`ds`]: 5 distinct rows ≤ 640 / 64, so
+    /// the dataset has a distinct-row form.
+    fn ds_with_form() -> Dataset {
+        let schema = Schema::new(vec![AttributeDef::new(
+            "age",
+            DataType::Int,
+            AttributeRole::QuasiIdentifier,
+        )]);
+        let mut b = DatasetBuilder::new(schema);
+        for i in 0..640 {
+            b.push_row(vec![Value::Int(10 * (1 + i % 5))]);
+        }
+        b.finish()
+    }
+
+    fn mixed_workload(n: usize) -> WorkloadSpec {
+        let range = |lo, hi| PredShape::IntRange { col: 0, lo, hi };
+        let mut w = WorkloadSpec::new(n);
+        w.push_shape(&range(15, 45), Noise::Exact);
+        w.push_shape(
+            &PredShape::And(vec![range(15, 45), PredShape::Not(Box::new(range(25, 35)))]),
+            Noise::Exact,
+        );
+        w.push_shape(
+            &PredShape::Or(vec![range(0, 10), range(50, 50)]),
+            Noise::Exact,
+        );
+        w
+    }
+
+    /// On a dataset with a distinct-row form, a repeated workload scans
+    /// nothing and reports the same scans, nodes and cache hits as the full
+    /// path does on a dataset without one.
+    #[test]
+    fn repeated_workload_over_the_form_scans_nothing() {
+        let small = ds();
+        let big = ds_with_form();
+        assert!(small.distinct_rows().is_none());
+        assert_eq!(big.distinct_rows().unwrap().rows().n_rows(), 5);
+        let mut full = CountingEngine::new(&small, None);
+        let mut form = CountingEngine::new(&big, None);
+        for round in 0..2 {
+            let a = full.execute_workload(&mixed_workload(small.n_rows()));
+            let b = form.execute_workload(&mixed_workload(big.n_rows()));
+            assert_eq!(a.stats, b.stats, "round {round}");
+            assert_eq!(a.rows_scanned, (a.stats.atom_scans * 5) as u64);
+            assert_eq!(b.rows_scanned, (b.stats.atom_scans * 5) as u64);
+            let scaled: Vec<WorkloadAnswer> = a
+                .answers
+                .iter()
+                .map(|x| match x {
+                    WorkloadAnswer::Count(c) => WorkloadAnswer::Count(c * 128),
+                    other => *other,
+                })
+                .collect();
+            assert_eq!(b.answers, scaled, "round {round}");
+            if round == 1 {
+                assert_eq!(b.stats.atom_scans, 0);
+                assert_eq!(b.stats.nodes_evaluated, 0);
+                assert!(b.stats.cache_hits > 0);
+            }
+        }
+        assert_eq!(form.stats(), full.stats());
+        assert_eq!(form.cached_predicates(), full.cached_predicates());
+    }
+
+    /// `count` and `execute_workload` answer from one form cache, in
+    /// either order.
+    #[test]
+    fn count_and_workload_share_the_form_cache() {
+        let ds = ds_with_form();
+        let p = IntRangePredicate {
+            col: 0,
+            lo: 15,
+            hi: 45,
+        };
+        let mut e = CountingEngine::new(&ds, None);
+        assert_eq!(e.count(&p), Some(384));
+        let mut w = WorkloadSpec::new(ds.n_rows());
+        w.push_predicate(&p, Noise::Exact);
+        let out = e.execute_workload(&w);
+        assert_eq!(out.answers, vec![WorkloadAnswer::Count(384)]);
+        assert_eq!((out.stats.atom_scans, out.stats.cache_hits), (0, 1));
+        assert_eq!(out.rows_scanned, 0);
+
+        let mut e = CountingEngine::new(&ds, None);
+        let q = IntRangePredicate {
+            col: 0,
+            lo: 0,
+            hi: 20,
+        };
+        let mut w = WorkloadSpec::new(ds.n_rows());
+        w.push_predicate(&q, Noise::Exact);
+        let out = e.execute_workload(&w);
+        assert_eq!(out.answers, vec![WorkloadAnswer::Count(256)]);
+        assert_eq!(out.rows_scanned, 5, "one scan of the 5-row form");
+        assert_eq!(e.count(&q), Some(256));
+        assert_eq!(e.stats().atom_scans, 1);
+        assert_eq!(e.stats().cache_hits, 1);
+        assert_eq!(e.cached_predicates(), 1);
+    }
+
+    /// A plan with an opaque atom may read the row index, so it runs over
+    /// the full dataset even when a form exists.
+    #[test]
+    fn opaque_plans_take_the_full_path() {
+        let ds = ds_with_form();
+        let even = std::sync::Arc::new(FnRowPredicate::new("even rows", |_, row| row % 2 == 0));
+        let mut e = CountingEngine::new(&ds, None);
+        assert_eq!(e.count(&*even), Some(320));
+        let mut w = WorkloadSpec::new(ds.n_rows());
+        w.push_predicate_arc(even, Noise::Exact);
+        w.push_shape(
+            &PredShape::IntRange {
+                col: 0,
+                lo: 15,
+                hi: 45,
+            },
+            Noise::Exact,
+        );
+        let out = e.execute_workload(&w);
+        assert_eq!(
+            out.answers,
+            vec![WorkloadAnswer::Count(320), WorkloadAnswer::Count(384)]
+        );
+        // The opaque bitmap comes from `count`'s full-path cache entry, and
+        // the range atom sharing its plan is scanned over all 640 rows.
+        assert_eq!((out.stats.atom_scans, out.stats.cache_hits), (1, 1));
+        assert_eq!(out.rows_scanned, 640);
+    }
+
+    /// A dataset that gains rows loses its form; an engine over the grown
+    /// dataset counts the new rows.
+    #[test]
+    fn append_rows_drops_the_form_an_engine_uses() {
+        let mut ds = ds_with_form();
+        let p = IntRangePredicate {
+            col: 0,
+            lo: 0,
+            hi: 1000,
+        };
+        assert_eq!(CountingEngine::new(&ds, None).count(&p), Some(640));
+        let extra: Vec<Vec<Value>> = (0..10).map(|i| vec![Value::Int(100 + i)]).collect();
+        ds.append_rows(&extra);
+        assert!(ds.distinct_rows().is_none(), "15 distinct rows > 650 / 64");
+        let mut e = CountingEngine::new(&ds, None);
+        assert_eq!(e.count(&p), Some(650));
+        let mut w = WorkloadSpec::new(ds.n_rows());
+        w.push_predicate(&p, Noise::Exact);
+        assert_eq!(e.execute_workload(&w).rows_scanned, 0, "cached by count");
     }
 
     /// Workload targets carry the same stable structural hashes as the

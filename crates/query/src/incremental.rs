@@ -198,6 +198,7 @@ impl IncrementalEngine {
 
         let (plan, mut answers, targets) = lower_workload(spec, &mut self.pool, &mut self.auditor);
         let mut stats = PlanStats::default();
+        let mut rows_scanned = 0u64;
         for i in 0..self.data.n_segments() {
             self.seed_shortcuts(&plan, i);
             let seg = self.data.segment(i);
@@ -211,6 +212,7 @@ impl IncrementalEngine {
             stats.nodes_evaluated += seg_stats.nodes_evaluated;
             stats.atom_scans += seg_stats.atom_scans;
             stats.cache_hits += seg_stats.cache_hits;
+            rows_scanned += (seg_stats.atom_scans * seg.n_rows()) as u64;
         }
 
         for (answer, target) in answers.iter_mut().zip(&targets) {
@@ -239,7 +241,7 @@ impl IncrementalEngine {
         self.plan_stats.nodes_evaluated += stats.nodes_evaluated;
         self.plan_stats.atom_scans += stats.atom_scans;
         self.plan_stats.cache_hits += stats.cache_hits;
-        WorkloadAnswers::settle(answers, targets, stats)
+        WorkloadAnswers::settle(answers, targets, stats, rows_scanned)
     }
 
     /// Aligns the per-segment caches with the dataset's current shape:

@@ -319,10 +319,11 @@ impl Tenant {
             .iter()
             .filter(|q| matches!(q.kind, QueryKind::Subset(_)))
             .count() as u64;
-        // Rows touched: each dataset scan sweeps every row, and each
-        // subset sum walks the full mask — deterministic counts, fit for a
-        // transcript.
-        self.last_profile.rows_scanned = (executed.stats.atom_scans as u64 + subset_queries) * n;
+        // Rows touched: each atom scan reads the rows of the relation it
+        // ran on (the distinct-row form when the dataset has one), and
+        // each subset sum walks the full mask — deterministic counts, fit
+        // for a transcript.
+        self.last_profile.rows_scanned = executed.rows_scanned + subset_queries * n;
         self.last_profile.cache_hits = executed.stats.cache_hits as u64;
         let mut answers = Vec::with_capacity(spec.len());
         for (i, q) in spec.queries().iter().enumerate() {
@@ -592,7 +593,8 @@ mod tests {
             "two subset sweeps over n rows"
         );
         // Predicate workloads count dataset scans; hash-consing answers the
-        // duplicate predicate from one scan, so rows_scanned is exactly n.
+        // duplicate predicate from one scan, so rows_scanned is exactly n
+        // (64 rows over 90 ages have no distinct-row form).
         let mut open = Tenant::new(TenantConfig::ungated("open", 64, 9));
         let pred = vec![
             WireQuery::IntRange {
@@ -611,6 +613,72 @@ mod tests {
         assert_eq!(
             p.rows_scanned, 64,
             "two identical predicates, one scan: {p:?}"
+        );
+    }
+
+    /// A tenant of 5 760 rows has at most 90 = 5760 / 64 distinct ages, so
+    /// its predicate scans read the distinct-row form: answers equal the
+    /// full bitmap path, and rows scanned = scans × distinct rows (+ n per
+    /// subset sweep).
+    #[test]
+    fn qualifying_tenant_scans_its_distinct_rows() {
+        let n = 5760;
+        let mut t = Tenant::new(TenantConfig::ungated("open", n, 9));
+        let distinct = t
+            .dataset
+            .distinct_rows()
+            .expect("≤ 90 ages")
+            .rows()
+            .n_rows();
+        assert!(distinct <= n / 64);
+        let queries = vec![
+            WireQuery::IntRange {
+                col: 0,
+                lo: 10,
+                hi: 40,
+            },
+            WireQuery::IntRange {
+                col: 0,
+                lo: 35,
+                hi: 89,
+            },
+            WireQuery::ValueEq { col: 0, value: 17 },
+            WireQuery::IntRange {
+                col: 0,
+                lo: 10,
+                hi: 40,
+            },
+            WireQuery::Subset(vec![0, 1, 2]),
+        ];
+        let answers = match t.run_workload(&queries, Noise::Exact).unwrap() {
+            WorkloadOutcome::Answered(a) => a,
+            other => panic!("{other:?}"),
+        };
+        // Oracle: the plan's bitmap path over the full dataset.
+        let spec = t.build_spec(&queries, Noise::Exact).unwrap();
+        let plan = so_plan::QueryPlan::from_spec(&spec);
+        let (oracle, stats) = plan.execute(
+            spec.pool(),
+            &t.dataset,
+            spec.evaluators(),
+            &mut so_plan::NodeCache::new(),
+        );
+        for (i, o) in oracle.iter().enumerate().take(4) {
+            assert_eq!(
+                *o,
+                so_plan::PlanOutcome::Count(answers[i] as usize),
+                "query {i}"
+            );
+        }
+        assert_eq!(
+            answers[4],
+            (0..3).filter(|&i| t.secret().get(i)).count() as f64
+        );
+        assert_eq!(stats.atom_scans, 3, "the repeated range is one scan");
+        assert_eq!(
+            t.last_profile().rows_scanned,
+            (3 * distinct + n) as u64,
+            "three scans of the form plus one subset sweep"
         );
     }
 
