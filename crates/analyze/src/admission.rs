@@ -117,6 +117,19 @@ pub fn audit(auditor: &mut QueryAuditor, spec: &WorkloadSpec, refusals: &[Refusa
     }
 }
 
+/// How many of `refusals` carry each code, in code order. Refusal counters
+/// are bumped once per code with this tally, not once per refusal: every
+/// counter lookup takes the metrics registry lock.
+pub fn count_by_code<'a>(
+    refusals: impl IntoIterator<Item = &'a Refusal>,
+) -> BTreeMap<&'a str, u64> {
+    let mut counts = BTreeMap::new();
+    for r in refusals {
+        *counts.entry(r.code.as_str()).or_insert(0) += 1;
+    }
+    counts
+}
+
 /// The answers of a refused workload: every query [`WorkloadAnswer::Refused`],
 /// nothing scanned.
 pub(crate) fn refused_answers(n: usize) -> WorkloadAnswers {
@@ -165,8 +178,9 @@ impl Admission {
             Ok(_) => metrics.workloads_admitted.inc(),
             Err(refusals) => {
                 metrics.workloads_refused.inc();
-                for r in refusals.iter().filter(|r| r.query.is_some()) {
-                    crate::obs::query_refusals(&r.code).inc();
+                let per_query = refusals.iter().filter(|r| r.query.is_some());
+                for (code, k) in count_by_code(per_query) {
+                    crate::obs::query_refusals(code).add(k);
                 }
             }
         }

@@ -37,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 use so_data::BitVec;
 use so_dp::ContinualAccountant;
 
-use crate::ir::ExprId;
+use crate::ir::{ExprId, PredPool};
 use crate::matrix::{
     gf2_rank, lower_predicates, lower_subsets, Lowered, MatrixCaps, QueryMatrix, RowBasis,
 };
@@ -726,9 +726,10 @@ fn matrix_passes(
             // report must not read as a clean bill.
             Lowered::Truncated => report.truncated = true,
             Lowered::Built(m) => {
-                linrec_pass(&m, cfg, report);
-                tracker_pass(&m, cfg, report);
-                cover_pass(&m, cfg, report);
+                let pool = workload.pool();
+                linrec_pass(&m, pool, cfg, report);
+                tracker_pass(&m, pool, cfg, report);
+                cover_pass(&m, pool, cfg, report);
             }
         }
     }
@@ -739,7 +740,7 @@ fn matrix_passes(
 /// sound *lower* bound on the rational rank for 0/1 matrices — full GF(2)
 /// column rank is proof); only if it falls short is the `f64` Gauss–Jordan
 /// estimate consulted.
-fn linrec_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
+fn linrec_pass(m: &QueryMatrix, pool: &PredPool, cfg: &LintConfig, report: &mut LintReport) {
     let cells = m.cells.len();
     if cells < cfg.linrec_min_cells {
         return;
@@ -747,11 +748,12 @@ fn linrec_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
     let t = cfg.isolation_threshold as f64;
     // Without a narrow cell, full rank pins only counts of wide regions:
     // reconstruction of aggregates, but nothing singled out.
-    let Some(narrow) = m
+    let Some((narrow_idx, narrow)) = m
         .cells
         .iter()
-        .filter(|c| c.width_hi > 0.0 && c.width_hi <= t)
-        .min_by(|a, b| a.width_hi.total_cmp(&b.width_hi))
+        .enumerate()
+        .filter(|(_, c)| c.width_hi > 0.0 && c.width_hi <= t)
+        .min_by(|(_, a), (_, b)| a.width_hi.total_cmp(&b.width_hi))
     else {
         return;
     };
@@ -762,6 +764,7 @@ fn linrec_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
     if rank < cells {
         return;
     }
+    let region = m.label(narrow_idx, pool);
     report.findings.push(Finding {
         lint: LintId::LinearReconstruction,
         severity: Severity::Deny,
@@ -769,17 +772,16 @@ fn linrec_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
         message: format!(
             "the {} sufficiently-accurate queries have full structural rank {rank} over the \
              {cells} disjoint cells their atoms induce: the released answers determine every \
-             cell count, including the region [{}] of ≤ {:.2} expected rows — the KRS \
+             cell count, including the region [{region}] of ≤ {:.2} expected rows — the KRS \
              linear-reconstruction feasibility criterion (arXiv:1210.2381)",
             m.queries.len(),
-            narrow.label,
             narrow.width_hi,
         ),
         evidence: Some(Evidence {
             rank: Some(rank),
             cells: Some(cells),
             width_hi: Some(narrow.width_hi),
-            region: Some(narrow.label.clone()),
+            region: Some(region),
             ..Evidence::default()
         }),
     });
@@ -787,7 +789,7 @@ fn linrec_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
 
 /// `SO-TRACKER`: budgeted chain search over the lattice of derivable cell
 /// sets ([`crate::lattice`]).
-fn tracker_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
+fn tracker_pass(m: &QueryMatrix, pool: &PredPool, cfg: &LintConfig, report: &mut LintReport) {
     let t = cfg.isolation_threshold as f64;
     let res = crate::lattice::search(
         m,
@@ -805,7 +807,7 @@ fn tracker_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
         let region = chain
             .cells
             .iter()
-            .map(|&c| m.cells[c].label.as_str())
+            .map(|&c| m.label(c, pool))
             .collect::<Vec<_>>()
             .join(" ∪ ");
         let message = format!(
@@ -835,7 +837,7 @@ fn tracker_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
 /// of the bitwise-exact releases — some admitted linear combination of the
 /// answers *is* that cell's count. Reports the witnessing combination's
 /// query indices.
-fn cover_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
+fn cover_pass(m: &QueryMatrix, pool: &PredPool, cfg: &LintConfig, report: &mut LintReport) {
     let t = cfg.isolation_threshold as f64;
     let cells = m.cells.len();
     // Only exact releases combine safely for the attacker here: rational
@@ -859,11 +861,11 @@ fn cover_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
         };
         found += 1;
         let queries: Vec<usize> = rows.iter().map(|&r| m.queries[r]).collect();
+        let region = m.label(c, pool);
         let message = format!(
-            "cell [{}] (≤ {:.2} expected rows) is isolated by an admitted combination: a \
+            "cell [{region}] (≤ {:.2} expected rows) is isolated by an admitted combination: a \
              rational combination of the exact answers to {} quer{} equals its count — the \
              static precursor of an online cover attack",
-            cell.label,
             cell.width_hi,
             queries.len(),
             if queries.len() == 1 { "y" } else { "ies" },
@@ -876,7 +878,7 @@ fn cover_pass(m: &QueryMatrix, cfg: &LintConfig, report: &mut LintReport) {
             evidence: Some(Evidence {
                 chain: queries,
                 width_hi: Some(cell.width_hi),
-                region: Some(cell.label.clone()),
+                region: Some(region),
                 ..Evidence::default()
             }),
         });

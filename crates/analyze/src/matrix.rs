@@ -23,6 +23,11 @@
 //! rank estimation ([`gf2_rank`], [`RowBasis`]), per-cell coverage, and the
 //! chain search of [`crate::lattice`] — power the `SO-LINREC`, `SO-COVER`,
 //! and `SO-TRACKER` lints.
+//!
+//! A cell keeps its region (first row and size, or sign assignment) but not
+//! its text: [`QueryMatrix::label`] renders it only for the cells a finding
+//! cites, so a workload that produces no matrix finding never pays for
+//! rendering.
 
 use std::collections::HashMap;
 
@@ -40,14 +45,25 @@ pub enum MatrixKind {
     PredicateSigns,
 }
 
-/// One column of the matrix: a disjoint region of the record space.
+/// One column of the matrix: a disjoint region of the record space. Its
+/// human-readable description is rendered on demand by
+/// [`QueryMatrix::label`].
 #[derive(Debug, Clone)]
 pub struct Cell {
     /// Upper bound on the region's expected row count (exact for mask
     /// cells, `n · Π` design weights for sign cells; `n` when vacuous).
     pub width_hi: f64,
-    /// Human-readable region description for evidence payloads.
-    pub label: String,
+    region: Region,
+}
+
+/// What a cell covers, kept in the form the lowering built it in.
+#[derive(Debug, Clone)]
+enum Region {
+    /// A row-equivalence class of subset masks: its first row and size.
+    Rows { first: usize, count: usize },
+    /// A sign assignment over the matrix's atom universe: `+1` / `-1` force
+    /// the atom true / false, `0` leaves it open.
+    Signs(Vec<i8>),
 }
 
 /// The abstract query matrix of one workload (one query family).
@@ -65,6 +81,22 @@ pub struct QueryMatrix {
     pub cells: Vec<Cell>,
     /// Which lowering built this matrix.
     pub kind: MatrixKind,
+    /// The atom universe the sign cells are assignments over, sorted by
+    /// id; empty for mask matrices.
+    atoms: Vec<ExprId>,
+}
+
+impl QueryMatrix {
+    /// Renders cell `c`'s region for evidence payloads:
+    /// `rows≡{first} ({count} row(s))` for a mask cell, the `∧`-joined
+    /// signed atoms (`NOT` for a negative sign, `everything` for none) for a
+    /// sign cell. `pool` is the workload's pool the matrix was lowered from.
+    pub fn label(&self, c: usize, pool: &PredPool) -> String {
+        match &self.cells[c].region {
+            Region::Rows { first, count } => format!("rows≡{first} ({count} row(s))"),
+            Region::Signs(signs) => sign_label(pool, &self.atoms, signs),
+        }
+    }
 }
 
 /// Outcome of lowering one query family.
@@ -210,7 +242,7 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
         .zip(&cell_count)
         .map(|(&first, &count)| Cell {
             width_hi: count as f64,
-            label: format!("rows≡{first} ({count} row(s))"),
+            region: Region::Rows { first, count },
         })
         .collect();
     Lowered::Built(QueryMatrix {
@@ -219,6 +251,7 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
         rows,
         cells,
         kind: MatrixKind::SubsetMasks,
+        atoms: Vec::new(),
     })
 }
 
@@ -227,6 +260,7 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
 
 /// A partial sign assignment over the atom universe: `0` = open, `+1` /
 /// `-1` = the atom is forced true / false in this region.
+#[derive(Clone)]
 struct SignCell {
     signs: Vec<i8>,
     /// Membership bits over the queries processed so far.
@@ -269,15 +303,19 @@ pub fn lower_predicates(
         return Lowered::Empty;
     }
 
-    // The atom universe, in pool-interning order.
+    // The atom universe, in pool-interning order; an atom's position in it
+    // is its index in every sign vector.
     let mut atoms: Vec<ExprId> = Vec::new();
     for &e in &exprs {
         atoms.extend(pool.collect_atoms(e));
     }
     atoms.sort_unstable();
     atoms.dedup();
-    let atom_index: HashMap<ExprId, usize> =
-        atoms.iter().enumerate().map(|(i, &a)| (a, i)).collect();
+    let atom_index = |atom: ExprId| {
+        atoms
+            .binary_search(&atom)
+            .expect("every atom of a lowered query is in the universe")
+    };
 
     let member_words = words_for(queries.len());
     let mut cells = vec![SignCell {
@@ -293,7 +331,7 @@ pub fn lower_predicates(
             if next.len() + work.len() >= caps.max_cells {
                 return Lowered::Truncated;
             }
-            let verdict = pool.eval_signed(expr, &|atom| match cell.signs[atom_index[&atom]] {
+            let verdict = pool.eval_signed(expr, &|atom| match cell.signs[atom_index(atom)] {
                 0 => None,
                 s => Some(s > 0),
             });
@@ -306,36 +344,38 @@ pub fn lower_predicates(
                     next.push(cell);
                 }
                 Err(blocking) => {
-                    let ai = atom_index[&blocking];
-                    for sign in [1i8, -1] {
-                        let mut signs = cell.signs.clone();
-                        signs[ai] = sign;
-                        if sign < 0 || signs_satisfiable(pool, &atoms, &signs, ai) {
-                            work.push(SignCell {
-                                signs,
-                                members: cell.members.clone(),
-                            });
-                        }
+                    // Split on the blocking atom: the positive half is a
+                    // copy, kept only if satisfiable; the negative half
+                    // reuses the cell. Positive first, so the negative
+                    // half is refined next.
+                    let ai = atom_index(blocking);
+                    let mut cell = cell;
+                    if signs_satisfiable(pool, &atoms, &cell.signs, ai) {
+                        let mut positive = cell.clone();
+                        positive.signs[ai] = 1;
+                        work.push(positive);
                     }
+                    cell.signs[ai] = -1;
+                    work.push(cell);
                 }
             }
         }
         cells = next;
     }
 
-    let n_cells = cells.len();
-    let row_words = words_for(n_cells);
+    let row_words = words_for(cells.len());
     let mut rows = vec![vec![0u64; row_words]; queries.len()];
-    for (c, cell) in cells.iter().enumerate() {
-        for qi in bit_indices(&cell.members) {
-            set_bit(&mut rows[qi], c);
-        }
-    }
     let cells = cells
-        .iter()
-        .map(|cell| Cell {
-            width_hi: n as f64 * sign_weight_hi(pool, &atoms, &cell.signs),
-            label: sign_label(pool, &atoms, &cell.signs),
+        .into_iter()
+        .enumerate()
+        .map(|(c, cell)| {
+            for qi in bit_indices(&cell.members) {
+                set_bit(&mut rows[qi], c);
+            }
+            Cell {
+                width_hi: n as f64 * sign_weight_hi(pool, &atoms, &cell.signs),
+                region: Region::Signs(cell.signs),
+            }
         })
         .collect();
     Lowered::Built(QueryMatrix {
@@ -344,12 +384,14 @@ pub fn lower_predicates(
         rows,
         cells,
         kind: MatrixKind::PredicateSigns,
+        atoms,
     })
 }
 
-/// Cheap per-column consistency check after forcing atom `changed` true:
-/// positive constraints that provably cannot hold together make the
-/// assignment unsatisfiable. Anything this cannot decide is kept
+/// Cheap per-column consistency check for forcing atom `changed` true on
+/// top of `signs` (whatever `signs[changed]` holds is ignored): positive
+/// constraints that provably cannot hold together make the assignment
+/// unsatisfiable. Anything this cannot decide is kept
 /// (conservative over-counting of cells).
 fn signs_satisfiable(pool: &PredPool, atoms: &[ExprId], signs: &[i8], changed: usize) -> bool {
     let changed_atom = pool.atom_payload(atoms[changed]).expect("atom id");
@@ -423,7 +465,7 @@ fn sign_weight_hi(pool: &PredPool, atoms: &[ExprId], signs: &[i8]) -> f64 {
     w
 }
 
-/// Renders a sign assignment for evidence payloads.
+/// Renders a sign assignment over `atoms` for evidence payloads.
 fn sign_label(pool: &PredPool, atoms: &[ExprId], signs: &[i8]) -> String {
     let parts: Vec<String> = signs
         .iter()

@@ -1,16 +1,39 @@
 //! Criterion benches for the static workload linter: what `lint_workload`
 //! costs on an honest cross-tab batch (the pass-everything common case) and
 //! on the E18 attack batteries that exercise the matrix passes end to end
-//! (cell partition, GF(2)/rational rank, tracker lattice search, covers).
+//! (cell partition, GF(2)/rational rank, tracker lattice search, covers),
+//! and on the range dashboard a gated 1M-row service tenant answers.
 //! No dataset is ever touched — the linter is purely structural, so these
 //! numbers are the full admission-control overhead a gated engine adds per
 //! workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use so_analyze::{lint_workload, LintConfig, Noise};
+use rand::Rng;
+use so_analyze::{lint_workload, LintConfig, Noise, WorkloadSpec};
 use so_bench::experiments::e18_query_matrix::{
     complement_tracker_spec, cycle_release_spec, honest_crosstab_spec, pred_tracker_trio,
 };
+use so_data::rng::seeded_rng;
+use so_plan::shape::PredShape;
+
+/// Eight distinct random age ranges (ages 0..=89), as one request of the
+/// wire benchmark's `scan_1m` workload draws them.
+fn dashboard_ranges() -> Vec<PredShape> {
+    let mut rng = seeded_rng(1);
+    let mut out: Vec<PredShape> = Vec::new();
+    while out.len() < 8 {
+        let (a, b) = (rng.gen_range(0..=89i64), rng.gen_range(0..=89i64));
+        let range = PredShape::IntRange {
+            col: 0,
+            lo: a.min(b),
+            hi: a.max(b),
+        };
+        if !out.contains(&range) {
+            out.push(range);
+        }
+    }
+    out
+}
 
 fn bench_lint_cost(c: &mut Criterion) {
     let cfg = LintConfig::default();
@@ -50,6 +73,20 @@ fn bench_lint_cost(c: &mut Criterion) {
     group.bench_function("pred_tracker_trio_lowering", |b| {
         b.iter(|| {
             let mut w = pred_tracker_trio(100, Noise::Exact);
+            lint_workload(&mut w, &cfg).findings.len()
+        });
+    });
+
+    // The range dashboard of a 1M-row tenant at ε = 0.1: the effective α
+    // (≈ 69) is inside the √n cut, so the predicates are lowered to sign
+    // cells, yet no DP row can reach a finding.
+    let ranges = dashboard_ranges();
+    group.bench_function("dp_ranges_8_1m_rows", |b| {
+        b.iter(|| {
+            let mut w = WorkloadSpec::new(1_000_000);
+            for r in &ranges {
+                w.push_shape(r, Noise::PureDp { epsilon: 0.1 });
+            }
             lint_workload(&mut w, &cfg).findings.len()
         });
     });

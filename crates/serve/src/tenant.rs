@@ -289,18 +289,16 @@ impl Tenant {
     fn refuse(&mut self, spec: &WorkloadSpec, refusals: Vec<Refusal>) -> WorkloadOutcome {
         self.workloads_refused += 1;
         crate::obs::serve_metrics().workloads_refused.inc();
-        let mut codes: Vec<String> = refusals.iter().map(|r| r.code.clone()).collect();
-        codes.sort();
-        codes.dedup();
         self.last_profile.evidence = refusals
             .iter()
             .map(|r| r.evidence.clone())
             .find(|ev| !ev.is_empty())
             .unwrap_or_default();
-        self.last_profile.codes = codes;
-        for r in &refusals {
-            crate::obs::serve_refusals(&r.code).inc();
-            crate::obs::serve_tenant_refusals(&r.code, &self.config.name).inc();
+        let counts = admission::count_by_code(&refusals);
+        self.last_profile.codes = counts.keys().map(|&code| code.to_owned()).collect();
+        for (code, k) in counts {
+            crate::obs::serve_refusals(code).add(k);
+            crate::obs::serve_tenant_refusals(code, &self.config.name).add(k);
         }
         admission::audit(&mut self.auditor, spec, &refusals);
         WorkloadOutcome::Refused(refusals)
