@@ -26,12 +26,12 @@
 use std::collections::BTreeMap;
 
 use so_dp::ContinualAccountant;
+use so_plan::workload::{Noise, QueryKind, WorkloadSpec};
 use so_plan::PlanStats;
 use so_query::audit::QueryAuditor;
 use so_query::engine::{WorkloadAnswer, WorkloadAnswers};
 
 use crate::lint::{Finding, LintReport, Severity};
-use crate::workload::{Noise, QueryKind, WorkloadSpec};
 
 /// The refusal code for continual-budget violations. It is not a static
 /// lint: the verdict depends on accountant state, so it is decided after

@@ -21,11 +21,11 @@
 //! [`WorkloadAnswer::Refused`]: so_query::engine::WorkloadAnswer::Refused
 //! [`Refusal::audit_line`]: crate::admission::Refusal::audit_line
 
+use so_plan::workload::WorkloadSpec;
 use so_query::engine::{CountingEngine, WorkloadAnswers};
 
 use crate::admission::{self, Admission};
 use crate::lint::{lint_workload, LintConfig, LintReport};
-use crate::workload::WorkloadSpec;
 
 /// A counting engine behind a static workload gate.
 ///
@@ -127,8 +127,8 @@ impl<'a> GatedEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{Noise, QueryKind};
     use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
+    use so_plan::workload::{Noise, QueryKind};
     use so_query::audit::QueryAuditor;
     use so_query::engine::WorkloadAnswer;
     use so_query::predicate::{

@@ -31,12 +31,12 @@ use std::collections::HashMap;
 
 use so_data::{MutationEffect, Value};
 use so_dp::ContinualAccountant;
+use so_plan::workload::{Noise, QueryKind, WorkloadSpec};
 use so_query::engine::WorkloadAnswers;
 use so_query::incremental::IncrementalEngine;
 
 use crate::admission::{self, Admission};
 use crate::lint::{lint_workload, LintConfig, LintReport};
-use crate::workload::{Noise, QueryKind, WorkloadSpec};
 
 /// A persistent workload gate over an [`IncrementalEngine`], with lint
 /// memoization and optional continual-release budget accounting.
@@ -153,9 +153,7 @@ impl IncrementalGate {
                 QueryKind::Subset(mask) => {
                     key.push(2);
                     key.extend_from_slice(&(mask.len() as u64).to_le_bytes());
-                    for w in mask.words() {
-                        key.extend_from_slice(&w.to_le_bytes());
-                    }
+                    key.extend_from_slice(&mask.to_le_bytes());
                 }
             }
             match q.noise {

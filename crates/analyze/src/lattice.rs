@@ -23,7 +23,9 @@
 
 use std::collections::HashSet;
 
-use crate::matrix::{bit_indices, get_bit, popcount, subset_of, QueryMatrix};
+use so_data::BitVec;
+
+use crate::matrix::QueryMatrix;
 
 /// One derivation found by the search.
 #[derive(Debug, Clone)]
@@ -80,9 +82,9 @@ pub fn search(
 
     // The set membership test only — iteration never touches this, so the
     // search order (and therefore the report) is deterministic.
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
+    let mut visited: HashSet<BitVec> = HashSet::new();
     struct Node {
-        cells: Vec<u64>,
+        cells: BitVec,
         rows: Vec<usize>,
         err: f64,
     }
@@ -117,15 +119,14 @@ pub fn search(
             }
             out.combos_examined += 1;
             let q = &matrix.rows[r];
-            // Strict containment one way or the other yields a difference.
-            let derived: Vec<u64> = if subset_of(q, &node_cells) {
-                node_cells.iter().zip(q).map(|(a, b)| a & !b).collect()
-            } else if subset_of(&node_cells, q) {
-                q.iter().zip(&node_cells).map(|(a, b)| a & !b).collect()
-            } else {
+            // Strict containment one way or the other yields a difference;
+            // for nested sets it is their symmetric difference.
+            if !q.is_subset_of(&node_cells) && !node_cells.is_subset_of(q) {
                 continue;
-            };
-            if popcount(&derived) == 0 || visited.contains(&derived) {
+            }
+            let mut derived = node_cells.clone();
+            derived.xor_assign(q);
+            if derived.is_zero() || visited.contains(&derived) {
                 continue;
             }
             let err = node_err + matrix.alphas[r];
@@ -135,14 +136,11 @@ pub fn search(
             visited.insert(derived.clone());
             let mut rows = node_rows.clone();
             rows.push(r);
-            let width_hi: f64 = (0..matrix.cells.len())
-                .filter(|&c| get_bit(&derived, c))
-                .map(|c| matrix.cells[c].width_hi)
-                .sum();
+            let width_hi: f64 = derived.iter_ones().map(|c| matrix.cells[c].width_hi).sum();
             if width_hi <= threshold {
                 out.chains.push(Chain {
                     rows: rows.clone(),
-                    cells: bit_indices(&derived),
+                    cells: derived.indices(),
                     width_hi,
                     err_bound: err,
                 });
@@ -164,7 +162,7 @@ pub fn search(
 mod tests {
     use super::*;
     use crate::matrix::{lower_subsets, Lowered, MatrixCaps};
-    use crate::workload::{Noise, WorkloadSpec};
+    use so_plan::workload::{Noise, WorkloadSpec};
     use so_query::query::SubsetQuery;
 
     fn caps() -> MatrixCaps {

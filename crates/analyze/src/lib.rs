@@ -11,8 +11,8 @@
 //! recognition a first-class, pre-execution subsystem:
 //!
 //! * the predicate-algebra IR and workload declarations come from
-//!   [`so_plan`] (re-exported here as [`ir`] and [`workload`]) — the *same*
-//!   hash-consed [`ir::PredPool`] the `so-query` execution engine compiles
+//!   [`so_plan`] — the *same* hash-consed [`so_plan::ir::PredPool`] the
+//!   `so-query` execution engine compiles
 //!   bitmaps from, so the expressions the lints reason about are literally
 //!   the expressions that run;
 //! * [`matrix`] — the query-matrix abstraction: the workload lowered to an
@@ -48,20 +48,14 @@ pub mod lint;
 pub mod matrix;
 pub mod obs;
 
-// The IR and workload-spec modules moved down into `so-plan` so the linter
-// and the execution engine share one definition; the historical
-// `so_analyze::ir` / `so_analyze::workload` paths keep working.
-pub use so_plan::ir;
-pub use so_plan::workload;
-
 pub use admission::{Admission, Refusal, CBUDGET_CODE};
 pub use gate::GatedEngine;
 pub use incremental::IncrementalGate;
-pub use ir::{Atom, ExprId, PredNode, PredPool};
 pub use lint::{
     lint_workload, lint_workload_default, Evidence, Finding, LintConfig, LintId, LintReport,
     Severity,
 };
 pub use matrix::{Lowered, MatrixCaps, QueryMatrix};
 pub use obs::{gate_metrics, lint_metrics, query_refusals, GateMetrics, LintMetrics};
-pub use workload::{Noise, QueryKind, QuerySpec, WorkloadSpec};
+pub use so_plan::ir::{Atom, ExprId, PredNode, PredPool};
+pub use so_plan::workload::{Noise, QueryKind, QuerySpec, WorkloadSpec};

@@ -36,12 +36,12 @@ use std::collections::{HashMap, HashSet};
 
 use so_data::BitVec;
 use so_dp::ContinualAccountant;
+use so_plan::ir::{ExprId, PredPool};
+use so_plan::workload::{Noise, QueryKind, WorkloadSpec};
 
-use crate::ir::{ExprId, PredPool};
 use crate::matrix::{
     gf2_rank, lower_predicates, lower_subsets, Lowered, MatrixCaps, QueryMatrix, RowBasis,
 };
-use crate::workload::{Noise, QueryKind, WorkloadSpec};
 
 /// Identity of a lint pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,7 +313,9 @@ impl Default for LintConfig {
 }
 
 /// A query as the lints see it: index, release noise, and either an exact
-/// membership mask or a canonical (NNF) predicate id.
+/// membership mask or a canonical (NNF) predicate id. Equal items are
+/// structurally identical queries.
+#[derive(PartialEq, Eq, Hash)]
 enum LintItem {
     Subset { mask: BitVec },
     Pred { nnf: ExprId },
@@ -413,8 +415,7 @@ fn dead_and_duplicate_pass(
 ) {
     let mut dead = 0usize;
     let mut dups = 0usize;
-    // Structural identity: pool id for predicates, mask words for subsets.
-    let mut seen: HashMap<(u8, Vec<u64>), usize> = HashMap::new();
+    let mut seen: HashMap<&LintItem, usize> = HashMap::new();
     for (i, item) in items.iter().enumerate() {
         // Only exact releases: a repeated *noisy* query is legitimate
         // (independent noise draws), and a noisy tautology is just a noisy
@@ -422,7 +423,7 @@ fn dead_and_duplicate_pass(
         if noises[i] != Noise::Exact {
             continue;
         }
-        let key = match item {
+        match item {
             LintItem::Pred { nnf } => {
                 let pool = workload.pool();
                 if *nnf == pool.tru() && dead < cfg.max_findings_per_lint {
@@ -448,7 +449,6 @@ fn dead_and_duplicate_pass(
                         evidence: None,
                     });
                 }
-                (0u8, vec![u64::from(nnf.index() as u32)])
             }
             LintItem::Subset { mask } => {
                 if mask.count_ones() == 0 && dead < cfg.max_findings_per_lint {
@@ -461,10 +461,9 @@ fn dead_and_duplicate_pass(
                         evidence: None,
                     });
                 }
-                (1u8, mask.words().to_vec())
             }
-        };
-        if let Some(&first) = seen.get(&key) {
+        }
+        if let Some(&first) = seen.get(item) {
             if dups < cfg.max_findings_per_lint {
                 dups += 1;
                 report.findings.push(Finding {
@@ -479,7 +478,7 @@ fn dead_and_duplicate_pass(
                 });
             }
         } else {
-            seen.insert(key, i);
+            seen.insert(item, i);
         }
     }
 }
@@ -594,14 +593,12 @@ fn differencing_pass(
 /// contains the other's and the set difference holds at most `t` rows, the
 /// pair of answers reveals the exact sub-count of those rows.
 fn subset_differencing(i: usize, a: &BitVec, j: usize, b: &BitVec, t: usize) -> Option<Finding> {
-    let (sup_idx, sup, sub_idx, sub) = if contains(a, b) && !contains(b, a) {
-        (i, a, j, b)
-    } else if contains(b, a) && !contains(a, b) {
-        (j, b, i, a)
-    } else {
-        return None;
+    let (sup_idx, sup, sub_idx, sub) = match (b.is_subset_of(a), a.is_subset_of(b)) {
+        (true, false) => (i, a, j, b),
+        (false, true) => (j, b, i, a),
+        _ => return None,
     };
-    let diff: Vec<usize> = difference_indices(sup, sub);
+    let diff = (sup & &!sub).indices();
     if diff.is_empty() || diff.len() > t {
         return None;
     }
@@ -623,28 +620,6 @@ fn subset_differencing(i: usize, a: &BitVec, j: usize, b: &BitVec, t: usize) -> 
             ..Evidence::default()
         }),
     })
-}
-
-/// `a ⊇ b` as masks (every member of `b` is in `a`).
-fn contains(a: &BitVec, b: &BitVec) -> bool {
-    a.words()
-        .iter()
-        .zip(b.words())
-        .all(|(wa, wb)| wb & !wa == 0)
-}
-
-/// Indices in `sup` but not `sub`.
-fn difference_indices(sup: &BitVec, sub: &BitVec) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (w, (wsup, wsub)) in sup.words().iter().zip(sub.words()).enumerate() {
-        let mut d = wsup & !wsub;
-        while d != 0 {
-            let bit = d.trailing_zeros() as usize;
-            out.push(w * 64 + bit);
-            d &= d - 1;
-        }
-    }
-    out
 }
 
 /// Symbolic differencing on predicate queries: when one query's conjunct
@@ -1000,12 +975,12 @@ fn budget_pass(noises: &[Noise], cfg: &LintConfig, report: &mut LintReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use so_plan::shape::PredShape;
     use so_query::predicate::{
         AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
         ValueEqualsPredicate,
     };
     use so_query::query::SubsetQuery;
-    use so_query::shape::PredShape;
 
     fn cfg() -> LintConfig {
         LintConfig::default()
@@ -1026,6 +1001,20 @@ mod tests {
             "isolated row named: {}",
             d[0].message
         );
+        // Three words, the differing row in the tail word, in both
+        // declaration orders.
+        let sup = SubsetQuery::from_indices(130, &[5, 70, 128, 129]);
+        let sub = SubsetQuery::from_indices(130, &[5, 70, 128]);
+        for (first, second, want) in [(&sup, &sub, vec![0, 1]), (&sub, &sup, vec![1, 0])] {
+            let mut w = WorkloadSpec::new(130);
+            w.push_subset(first, Noise::Exact);
+            w.push_subset(second, Noise::Exact);
+            let r = lint_workload(&mut w, &cfg());
+            let d = r.findings_for(LintId::Differencing);
+            assert_eq!(d.len(), 1);
+            assert_eq!(d[0].queries, want, "superset first, subset second");
+            assert!(d[0].message.contains("[129]"), "{}", d[0].message);
+        }
     }
 
     #[test]
@@ -1396,17 +1385,17 @@ mod tests {
         let mut w = WorkloadSpec::new(n);
         let prefix = {
             let pool = w.pool_mut();
-            let b0 = pool.atom(crate::ir::Atom::BitExtract {
+            let b0 = pool.atom(so_plan::ir::Atom::BitExtract {
                 bit: 0,
                 value: true,
             });
-            let b1 = pool.atom(crate::ir::Atom::BitExtract {
+            let b1 = pool.atom(so_plan::ir::Atom::BitExtract {
                 bit: 1,
                 value: false,
             });
             pool.and([b0, b1])
         };
-        let hash = w.pool_mut().atom(crate::ir::Atom::KeyedHash {
+        let hash = w.pool_mut().atom(so_plan::ir::Atom::KeyedHash {
             key: 0xFEED,
             modulus: 32,
             target: 7,

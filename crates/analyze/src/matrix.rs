@@ -31,8 +31,9 @@
 
 use std::collections::HashMap;
 
-use crate::ir::{Atom, ExprId, PredPool};
-use crate::workload::{QueryKind, WorkloadSpec};
+use so_data::BitVec;
+use so_plan::ir::{Atom, ExprId, PredPool};
+use so_plan::workload::{QueryKind, WorkloadSpec};
 
 /// Which lowering produced a matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,11 +73,11 @@ pub struct QueryMatrix {
     /// Workload indices of the rows, in declaration order.
     pub queries: Vec<usize>,
     /// Per-row effective worst-case error bound
-    /// ([`crate::workload::Noise::effective_alpha`]).
+    /// ([`so_plan::workload::Noise::effective_alpha`]).
     pub alphas: Vec<f64>,
-    /// Row bitsets over cells: `rows[r]` has bit `c` set iff cell `c` lies
-    /// inside query `r`. `ceil(cells / 64)` words each.
-    pub rows: Vec<Vec<u64>>,
+    /// Rows over cells: `rows[r]` has bit `c` set iff cell `c` lies inside
+    /// query `r`.
+    pub rows: Vec<BitVec>,
     /// The columns.
     pub cells: Vec<Cell>,
     /// Which lowering built this matrix.
@@ -122,47 +123,6 @@ pub struct MatrixCaps {
 }
 
 // ---------------------------------------------------------------------------
-// Bitset helpers (cells are dense u64-word bitsets).
-
-/// Words needed for `bits` bits.
-pub(crate) fn words_for(bits: usize) -> usize {
-    bits.div_ceil(64)
-}
-
-/// Sets bit `i`.
-pub(crate) fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1u64 << (i % 64);
-}
-
-/// Reads bit `i`.
-pub(crate) fn get_bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] >> (i % 64) & 1 == 1
-}
-
-/// Number of set bits.
-pub(crate) fn popcount(words: &[u64]) -> usize {
-    words.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// `a ⊆ b`.
-pub(crate) fn subset_of(a: &[u64], b: &[u64]) -> bool {
-    a.iter().zip(b).all(|(wa, wb)| wa & !wb == 0)
-}
-
-/// The set indices of a bitset, ascending.
-pub(crate) fn bit_indices(words: &[u64]) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (w, &word) in words.iter().enumerate() {
-        let mut d = word;
-        while d != 0 {
-            out.push(w * 64 + d.trailing_zeros() as usize);
-            d &= d - 1;
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Subset-mask lowering.
 
 /// Lowers the workload's subset-sum queries with `effective_alpha ≤
@@ -173,7 +133,7 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
     let n = workload.n_rows();
     let mut queries: Vec<usize> = Vec::new();
     let mut alphas: Vec<f64> = Vec::new();
-    let mut masks: Vec<&so_data::BitVec> = Vec::new();
+    let mut masks: Vec<&BitVec> = Vec::new();
     for (i, q) in workload.queries().iter().enumerate() {
         if let QueryKind::Subset(mask) = &q.kind {
             let alpha = q.noise.effective_alpha();
@@ -192,49 +152,39 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
     }
 
     // Per-row membership signature over the selected queries.
-    let sig_words = words_for(queries.len());
-    let mut sigs: Vec<Vec<u64>> = vec![vec![0u64; sig_words]; n];
+    let mut sigs: Vec<BitVec> = vec![BitVec::zeros(queries.len()); n];
     for (qi, mask) in masks.iter().enumerate() {
-        for (w, &word) in mask.words().iter().enumerate() {
-            let mut d = word;
-            while d != 0 {
-                let row = w * 64 + d.trailing_zeros() as usize;
-                d &= d - 1;
-                if row < n {
-                    set_bit(&mut sigs[row], qi);
-                }
-            }
+        for row in mask.iter_ones() {
+            sigs[row].set(qi, true);
         }
     }
 
     // Group rows by signature; cells are numbered by first-row order, so the
     // construction is deterministic. (The map is only probed per row — cell
     // order never depends on map iteration.)
-    let mut index: HashMap<&[u64], usize> = HashMap::new();
-    let mut cell_sig: Vec<&[u64]> = Vec::new();
+    let mut index: HashMap<&BitVec, usize> = HashMap::new();
+    let mut cell_sig: Vec<&BitVec> = Vec::new();
     let mut cell_first: Vec<usize> = Vec::new();
     let mut cell_count: Vec<usize> = Vec::new();
     for (row, sig) in sigs.iter().enumerate() {
-        if let Some(&c) = index.get(sig.as_slice()) {
+        if let Some(&c) = index.get(sig) {
             cell_count[c] += 1;
         } else {
             let c = cell_sig.len();
             if c >= caps.max_cells {
                 return Lowered::Truncated;
             }
-            index.insert(sig.as_slice(), c);
-            cell_sig.push(sig.as_slice());
+            index.insert(sig, c);
+            cell_sig.push(sig);
             cell_first.push(row);
             cell_count.push(1);
         }
     }
 
-    let n_cells = cell_sig.len();
-    let row_words = words_for(n_cells);
-    let mut rows = vec![vec![0u64; row_words]; queries.len()];
+    let mut rows = vec![BitVec::zeros(cell_sig.len()); queries.len()];
     for (c, sig) in cell_sig.iter().enumerate() {
-        for qi in bit_indices(sig) {
-            set_bit(&mut rows[qi], c);
+        for qi in sig.iter_ones() {
+            rows[qi].set(c, true);
         }
     }
     let cells = cell_first
@@ -264,7 +214,7 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
 struct SignCell {
     signs: Vec<i8>,
     /// Membership bits over the queries processed so far.
-    members: Vec<u64>,
+    members: BitVec,
 }
 
 /// Lowers the workload's predicate queries with `effective_alpha ≤
@@ -317,10 +267,9 @@ pub fn lower_predicates(
             .expect("every atom of a lowered query is in the universe")
     };
 
-    let member_words = words_for(queries.len());
     let mut cells = vec![SignCell {
         signs: vec![0i8; atoms.len()],
-        members: vec![0u64; member_words],
+        members: BitVec::zeros(queries.len()),
     }];
 
     for (qi, &expr) in exprs.iter().enumerate() {
@@ -339,7 +288,7 @@ pub fn lower_predicates(
                 Ok(is_member) => {
                     let mut cell = cell;
                     if is_member {
-                        set_bit(&mut cell.members, qi);
+                        cell.members.set(qi, true);
                     }
                     next.push(cell);
                 }
@@ -363,14 +312,13 @@ pub fn lower_predicates(
         cells = next;
     }
 
-    let row_words = words_for(cells.len());
-    let mut rows = vec![vec![0u64; row_words]; queries.len()];
+    let mut rows = vec![BitVec::zeros(cells.len()); queries.len()];
     let cells = cells
         .into_iter()
         .enumerate()
         .map(|(c, cell)| {
-            for qi in bit_indices(&cell.members) {
-                set_bit(&mut rows[qi], c);
+            for qi in cell.members.iter_ones() {
+                rows[qi].set(c, true);
             }
             Cell {
                 width_hi: n as f64 * sign_weight_hi(pool, &atoms, &cell.signs),
@@ -490,25 +438,23 @@ fn sign_label(pool: &PredPool, atoms: &[ExprId], signs: &[i8]) -> String {
 // ---------------------------------------------------------------------------
 // Rank estimation.
 
-/// GF(2) rank of the row bitsets, with early exit once `limit` is reached.
+/// GF(2) rank of the rows, with early exit once `limit` is reached.
 /// For 0/1 matrices GF(2) rank never exceeds the rational rank, so full
 /// GF(2) column rank is *proof* of full rational rank.
-pub fn gf2_rank(rows: &[Vec<u64>], limit: usize) -> usize {
+pub fn gf2_rank(rows: &[BitVec], limit: usize) -> usize {
     // pivots[k] = (leading bit index, reduced row).
-    let mut pivots: Vec<(usize, Vec<u64>)> = Vec::new();
+    let mut pivots: Vec<(usize, BitVec)> = Vec::new();
     for row in rows {
         if pivots.len() >= limit {
             break;
         }
         let mut v = row.clone();
         for (lead, p) in &pivots {
-            if get_bit(&v, *lead) {
-                for (vw, pw) in v.iter_mut().zip(p) {
-                    *vw ^= pw;
-                }
+            if v.get(*lead) {
+                v.xor_assign(p);
             }
         }
-        if let Some(lead) = bit_indices(&v).first().copied() {
+        if let Some(lead) = v.next_set_bit(0) {
             pivots.push((lead, v));
         }
     }
@@ -532,7 +478,7 @@ pub struct RowBasis {
 
 impl RowBasis {
     /// Builds the basis from the rows whose index passes `keep`.
-    pub fn build(rows: &[Vec<u64>], n_cells: usize, keep: impl Fn(usize) -> bool) -> RowBasis {
+    pub fn build(rows: &[BitVec], n_cells: usize, keep: impl Fn(usize) -> bool) -> RowBasis {
         let mut b = RowBasis {
             n_cells,
             n_rows: rows.len(),
@@ -543,7 +489,7 @@ impl RowBasis {
                 continue;
             }
             let mut v: Vec<f64> = (0..n_cells)
-                .map(|c| if get_bit(row, c) { 1.0 } else { 0.0 })
+                .map(|c| if row.get(c) { 1.0 } else { 0.0 })
                 .collect();
             let mut combo = vec![0.0f64; rows.len()];
             combo[ri] = 1.0;
@@ -632,8 +578,8 @@ impl RowBasis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::Noise;
     use so_plan::shape::PredShape;
+    use so_plan::workload::Noise;
     use so_query::query::SubsetQuery;
 
     fn caps() -> MatrixCaps {
@@ -661,7 +607,7 @@ mod tests {
         assert_eq!(widths, vec![1.0, 1.0, 1.0, 7.0]);
         // Each query covers exactly its two singleton cells.
         for row in &m.rows {
-            assert_eq!(popcount(row), 2);
+            assert_eq!(row.count_ones(), 2);
         }
         // GF(2) rank is 2 (the three rows sum to zero mod 2); the rational
         // rank is 3 — exactly the case where GF(2) alone under-estimates.
@@ -761,7 +707,10 @@ mod tests {
 
     #[test]
     fn gf2_rank_early_exit_and_duplicates() {
-        let rows = vec![vec![0b01u64], vec![0b10], vec![0b11], vec![0b01]];
+        let rows: Vec<BitVec> = [[true, false], [false, true], [true, true], [true, false]]
+            .iter()
+            .map(|r| BitVec::from_bools(r))
+            .collect();
         assert_eq!(gf2_rank(&rows, 2), 2);
         assert_eq!(gf2_rank(&rows, 64), 2, "third/fourth rows dependent");
     }

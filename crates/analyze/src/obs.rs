@@ -11,7 +11,7 @@
 
 use std::sync::OnceLock;
 
-use so_obs::{global, Counter, Histogram};
+use so_obs::{global, Counter, Histogram, MICRO_BOUNDS};
 
 use crate::lint::LintReport;
 
@@ -50,18 +50,6 @@ pub fn gate_metrics() -> &'static GateMetrics {
 pub fn query_refusals(code: &str) -> Counter {
     global().counter_with("so_gate_query_refusals_total", &[("code", code)])
 }
-
-/// Upper bounds (µs) for the lint timing histogram.
-const MICRO_BOUNDS: [f64; 8] = [
-    10.0,
-    100.0,
-    1_000.0,
-    10_000.0,
-    100_000.0,
-    1_000_000.0,
-    10_000_000.0,
-    100_000_000.0,
-];
 
 /// Cached handles to the linter-cost metrics. The quadratic-blowup guard
 /// in the differencing pass and the budgeted lattice search both publish

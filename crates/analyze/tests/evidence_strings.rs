@@ -3,13 +3,13 @@
 //! quote them. No checked-in transcript prints a predicate-sign cell label,
 //! so these are the only guard on how a cell is rendered.
 
-use so_analyze::ir::{Atom, ExprId, PredPool};
 use so_analyze::matrix::{lower_predicates, Lowered, MatrixCaps, MatrixKind};
 use so_analyze::{
     lint_workload, Finding, LintConfig, LintId, LintReport, Noise, QueryKind, WorkloadSpec,
 };
+use so_plan::ir::{Atom, ExprId, PredPool};
+use so_plan::shape::PredShape;
 use so_query::query::SubsetQuery;
-use so_query::shape::PredShape;
 
 fn region(f: &Finding) -> &str {
     f.evidence

@@ -4,11 +4,11 @@
 
 use proptest::prelude::*;
 use rand::Rng;
-use so_analyze::ir::PredPool;
 use so_data::rng::seeded_rng;
 use so_data::{
     AttributeDef, AttributeRole, BitVec, DataType, Dataset, DatasetBuilder, Schema, Value,
 };
+use so_plan::ir::PredPool;
 use so_query::predicate::{
     AllRowPredicate, AndPredicate, AnyRowPredicate, BitExtractPredicate, IntRangePredicate,
     KeyedHashPredicate, NotPredicate, NotRowPredicate, OrPredicate, Predicate, PrefixPredicate,
@@ -127,7 +127,7 @@ proptest! {
             prop_assert_eq!(pool.eval_row(nnf, &ds, row), Some(direct), "nnf row {}", row);
             lifted_count += usize::from(direct);
         }
-        prop_assert_eq!(scan_dataset(&ds, p.as_ref()).count(), lifted_count);
+        prop_assert_eq!(scan_dataset(&ds, p.as_ref()).count_ones(), lifted_count);
     }
 
     /// The same equivalence for bit-string predicates (attack atoms),

@@ -72,7 +72,12 @@ fn bench_workload_planning(c: &mut Criterion) {
     // Baseline: one fresh scan per query, no sharing — what a query-at-a-time
     // loop over `p.scan(ds)` costs.
     group.bench_function("query_at_a_time_100k_rows_1k_queries", |b| {
-        b.iter(|| queries.iter().map(|p| p.scan(&ds).count()).sum::<usize>());
+        b.iter(|| {
+            queries
+                .iter()
+                .map(|p| p.scan(&ds).count_ones())
+                .sum::<usize>()
+        });
     });
 
     // Planned: the whole batch through `execute_workload` — hash-consing

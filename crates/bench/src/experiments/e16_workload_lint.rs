@@ -17,11 +17,11 @@ use so_analyze::{
 };
 use so_data::rng::seeded_rng;
 use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
+use so_plan::shape::PredShape;
 use so_query::predicate::{
     AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
     RowPredicate, ValueEqualsPredicate,
 };
-use so_query::shape::PredShape;
 use so_query::workload::{all_subsets_workload, random_subset_workload, tracker_workload};
 use so_query::CountingEngine;
 

@@ -22,9 +22,9 @@
 //! singleton cell count. Only the rational-rank fallback of `SO-LINREC`
 //! (and the row-span witness of `SO-COVER`) can refuse it.
 
-use so_analyze::ir::Atom;
 use so_analyze::{lint_workload, GatedEngine, LintConfig, LintId, LintReport, Noise, WorkloadSpec};
 use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
+use so_plan::ir::Atom;
 use so_query::predicate::{AllRowPredicate, RowPredicate, ValueEqualsPredicate};
 use so_query::query::SubsetQuery;
 use so_query::CountingEngine;

@@ -7,7 +7,7 @@
 //! and median, as the Census Bureau published). Exact single years of age
 //! are never released — the attack recovers them anyway.
 
-use so_data::SelectionVector;
+use so_data::BitVec;
 
 use crate::microdata::{Person, Race, Sex};
 
@@ -81,7 +81,7 @@ pub fn median_of_sorted(ages: &[u8]) -> f64 {
 /// Publishes the tables for one block.
 ///
 /// The P12 cells are computed on the word-parallel bitmap path: one
-/// [`SelectionVector`] per race, sex, and age band, with each cell a
+/// [`BitVec`] per race, sex, and age band, with each cell a
 /// word-level AND + popcount. Empty race × sex planes are skipped without
 /// touching their 20 band cells. [`tabulate_block_scalar`] keeps the
 /// per-person scatter as the reference oracle.
@@ -94,26 +94,24 @@ pub fn tabulate_block(people: &[Person]) -> BlockTables {
         "empty block is suppressed, not published"
     );
     let n = people.len();
-    let race_bm: Vec<SelectionVector> = (0..5)
-        .map(|ri| SelectionVector::from_fn(n, |i| people[i].race.index() == ri))
+    let race_bm: Vec<BitVec> = (0..5)
+        .map(|ri| BitVec::from_fn(n, |i| people[i].race.index() == ri))
         .collect();
-    let sex_bm: Vec<SelectionVector> = (0..2)
-        .map(|si| SelectionVector::from_fn(n, |i| people[i].sex.index() == si))
+    let sex_bm: Vec<BitVec> = (0..2)
+        .map(|si| BitVec::from_fn(n, |i| people[i].sex.index() == si))
         .collect();
-    let band_bm: Vec<SelectionVector> = (0..N_BANDS)
-        .map(|b| {
-            SelectionVector::from_fn(n, |i| usize::from(people[i].age / 5).min(N_BANDS - 1) == b)
-        })
+    let band_bm: Vec<BitVec> = (0..N_BANDS)
+        .map(|b| BitVec::from_fn(n, |i| usize::from(people[i].age / 5).min(N_BANDS - 1) == b))
         .collect();
     let mut race_sex_band = [[[0usize; N_BANDS]; 2]; 5];
     for (ri, race) in race_bm.iter().enumerate() {
         for (si, sex) in sex_bm.iter().enumerate() {
             let plane = race.and(sex);
-            if plane.is_none() {
+            if plane.is_zero() {
                 continue;
             }
             for (b, band) in band_bm.iter().enumerate() {
-                race_sex_band[ri][si][b] = plane.and(band).count();
+                race_sex_band[ri][si][b] = plane.and(band).count_ones();
             }
         }
     }

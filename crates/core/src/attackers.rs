@@ -130,10 +130,7 @@ impl PsoAttacker<BitModel, usize> for CountPostprocessAttacker {
         FnPsoPredicate::boxed(
             &format!("H_count mod {modulus} == 0"),
             Some(weight),
-            move |r: &BitVec| {
-                let bytes: Vec<u8> = r.words().iter().flat_map(|w| w.to_le_bytes()).collect();
-                keyed_hash(key, &bytes) % modulus == 0
-            },
+            move |r: &BitVec| keyed_hash(key, &r.to_le_bytes()) % modulus == 0,
         )
     }
 

@@ -114,9 +114,12 @@ impl BaselineAttacker {
     pub fn predicate<R: Rng + ?Sized>(&self, rng: &mut R) -> Box<dyn PsoPredicate<BitVec>> {
         let key = rng.gen::<u64>();
         let modulus = self.modulus;
-        Box::new(HashSlicePredicate::new(key, modulus, 0, |r: &BitVec| {
-            r.words().iter().flat_map(|w| w.to_le_bytes()).collect()
-        }))
+        Box::new(HashSlicePredicate::new(
+            key,
+            modulus,
+            0,
+            BitVec::to_le_bytes,
+        ))
     }
 }
 

@@ -197,12 +197,7 @@ impl SliceFingerprintOracle {
 
     /// The fixed slice predicate.
     pub fn in_slice(&self, record: &so_data::BitVec) -> bool {
-        let bytes: Vec<u8> = record
-            .words()
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .collect();
-        so_data::rng::keyed_hash(self.seed, &bytes) % self.modulus == 0
+        so_data::rng::keyed_hash(self.seed, &record.to_le_bytes()) % self.modulus == 0
     }
 }
 

@@ -1,13 +1,27 @@
 //! Bit vectors and bit-string datasets.
 //!
-//! Two of the paper's settings live over binary domains:
+//! The paper's query `q ⊆ [n]`, its secret `x ∈ {0,1}^n` and the rows a
+//! predicate selects are one object, an indicator vector; every
+//! Dinur–Nissim answer is `|q ∧ x|`. [`BitVec`] is that vector, packed 64
+//! bits per `u64` word, and it is the only packed bit vector in the
+//! workspace:
 //!
-//! * Theorem 1.1 (Dinur–Nissim) reconstructs a dataset
-//!   `x ∈ {0,1}^n` from noisy subset-sum answers. We represent `x` as a
-//!   [`BitVec`] of length `n`.
+//! * Theorem 1.1 (Dinur–Nissim) reconstructs a dataset `x ∈ {0,1}^n` from
+//!   noisy subset-sum answers; `x` and each query mask are a [`BitVec`] of
+//!   length `n`.
+//! * A predicate's selection over the rows of a dataset is a [`BitVec`]:
+//!   the columnar scan kernels emit one per atom
+//!   ([`BitVec::from_column`]), compound predicates combine them with word
+//!   ops, and counting is a popcount — 64 rows per instruction.
+//! * The query matrix of a workload keeps its rows, cell signatures and
+//!   reduced GF(2) pivots as [`BitVec`]s over cells or queries.
 //! * Theorem 2.8's composition attack isolates one record in a dataset of
 //!   `n` records each drawn from `{0,1}^d`; we represent that as a
 //!   [`BitDataset`] (`n` rows × `d` bits).
+//!
+//! Invariant: bits at positions `>= len` in the last word are always zero,
+//! so popcounts, equality, hashing and the combinators never see garbage
+//! in the tail word.
 
 use std::fmt;
 
@@ -21,6 +35,12 @@ use std::fmt;
 /// assert_eq!(x.count_ones(), 2);
 /// let y = BitVec::from_bools(&[true, false, false, false, false, false, false, false]);
 /// assert_eq!(x.hamming_distance(&y), 1);
+///
+/// let evens = BitVec::from_fn(10, |i| i % 2 == 0);
+/// let small = BitVec::from_fn(10, |i| i < 5);
+/// let both = &evens & &small;
+/// assert_eq!(both.count_ones(), 3); // rows 0, 2, 4
+/// assert_eq!(both.indices(), vec![0, 2, 4]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
@@ -39,14 +59,12 @@ impl BitVec {
 
     /// All-one bit vector of length `len` (tail bits beyond `len` stay zero).
     pub fn ones(len: usize) -> Self {
-        let mut words = vec![u64::MAX; len.div_ceil(64)];
-        let tail = len % 64;
-        if tail != 0 {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        BitVec { words, len }
+        let mut v = BitVec {
+            words: vec![u64::MAX; len.div_ceil(64)],
+            len,
+        };
+        v.mask_tail();
+        v
     }
 
     /// Builds from a slice of bools, packing a whole word at a time (the
@@ -93,6 +111,58 @@ impl BitVec {
         BitVec { words, len }
     }
 
+    /// Builds by evaluating `f` on every index.
+    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> bool) -> Self {
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        let mut i = 0;
+        while i < len {
+            let mut word = 0u64;
+            let block = 64.min(len - i);
+            for b in 0..block {
+                word |= u64::from(f(i + b)) << b;
+            }
+            words.push(word);
+            i += 64;
+        }
+        BitVec { words, len }
+    }
+
+    /// Columnar scan kernel: selects the non-missing rows of a typed column
+    /// slice for which `f` holds. `vals` and `missing` run in row order.
+    ///
+    /// Packs 64 rows per word with zipped iteration (no per-row bounds
+    /// checks), which is what lets the typed predicate kernels beat the
+    /// row-at-a-time path.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub fn from_column<T>(vals: &[T], missing: &[bool], mut f: impl FnMut(&T) -> bool) -> Self {
+        assert_eq!(vals.len(), missing.len(), "column slice length mismatch");
+        let len = vals.len();
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        // chunks_exact gives the compiler a fixed 64 trip count per word, so
+        // the shift-OR packing unrolls into a tree instead of a 64-deep
+        // dependency chain.
+        let mut cv = vals.chunks_exact(64);
+        let mut cm = missing.chunks_exact(64);
+        for (v64, m64) in (&mut cv).zip(&mut cm) {
+            let mut word = 0u64;
+            for b in 0..64 {
+                word |= u64::from(!m64[b] & f(&v64[b])) << b;
+            }
+            words.push(word);
+        }
+        let (rv, rm) = (cv.remainder(), cm.remainder());
+        if !rv.is_empty() {
+            let mut word = 0u64;
+            for (b, (v, &m)) in rv.iter().zip(rm).enumerate() {
+                word |= u64::from(!m & f(v)) << b;
+            }
+            words.push(word);
+        }
+        BitVec { words, len }
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -103,10 +173,16 @@ impl BitVec {
         self.len == 0
     }
 
+    // `get`, `set`, `is_zero`, `is_subset_of` and `xor_assign` are
+    // `#[inline]`: so-analyze calls them per cell and per combination in
+    // the lattice search and the GF(2) reduction, from another crate, and
+    // without the hint a 48-row, 192-query lint ran ~15 % slower.
+
     /// Reads bit `i`.
     ///
     /// # Panics
     /// Panics if `i >= len`.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         (self.words[i / 64] >> (i % 64)) & 1 == 1
@@ -116,6 +192,7 @@ impl BitVec {
     ///
     /// # Panics
     /// Panics if `i >= len`.
+    #[inline]
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
         let mask = 1u64 << (i % 64);
@@ -126,7 +203,7 @@ impl BitVec {
         }
     }
 
-    /// Number of set bits.
+    /// Number of set bits (word-parallel popcount).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -159,9 +236,178 @@ impl BitVec {
             .sum()
     }
 
+    /// Number of positions set in `self` but **not** in `mask` — the
+    /// word-parallel popcount of `self ∧ ¬mask`, computed without allocating
+    /// an intermediate vector. This is the tombstone-mask merge step of the
+    /// incremental engine: a cached segment selection popcounted against the
+    /// segment's tombstones yields the live match count directly.
+    ///
+    /// Because `self`'s tail bits beyond `len` are always zero, negating
+    /// `mask`'s words needs no tail handling: stray ones in `!mask` past the
+    /// end are annihilated by the AND.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    pub fn count_and_not(&self, mask: &BitVec) -> usize {
+        assert_eq!(self.len, mask.len, "length mismatch");
+        self.words
+            .iter()
+            .zip(&mask.words)
+            .map(|(&a, &b)| (a & !b).count_ones() as usize)
+            .sum()
+    }
+
+    /// Sum of `weights[i]` over the set positions `i` — the count over a
+    /// dataset of the rows a selection over its distinct-row form picks
+    /// (see [`crate::Dataset::distinct_rows`]). One word loop over the set
+    /// bits.
+    ///
+    /// # Panics
+    /// Panics if `weights.len()` differs from the vector length.
+    pub fn weighted_count(&self, weights: &[u64]) -> u64 {
+        assert_eq!(weights.len(), self.len, "weight length mismatch");
+        let mut total = 0u64;
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                total += weights[w * 64 + bits.trailing_zeros() as usize];
+                bits &= bits - 1;
+            }
+        }
+        total
+    }
+
+    /// True iff no bit is set. Stops at the first nonzero word.
+    #[inline]
+    pub fn is_zero(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// True iff every set position of `self` is set in `other` (`self ⊆
+    /// other`). Stops at the first word that proves otherwise.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    #[inline]
+    pub fn is_subset_of(&self, other: &BitVec) -> bool {
+        assert_eq!(self.len, other.len, "length mismatch");
+        self.words
+            .iter()
+            .zip(&other.words)
+            .all(|(a, b)| a & !b == 0)
+    }
+
+    /// In-place intersection.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    pub fn and_assign(&mut self, other: &BitVec) {
+        assert_eq!(self.len, other.len, "length mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a &= b;
+        }
+    }
+
+    /// In-place union.
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    pub fn or_assign(&mut self, other: &BitVec) {
+        assert_eq!(self.len, other.len, "length mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
+        }
+    }
+
+    /// In-place symmetric difference — addition over GF(2).
+    ///
+    /// # Panics
+    /// Panics if lengths differ.
+    #[inline]
+    pub fn xor_assign(&mut self, other: &BitVec) {
+        assert_eq!(self.len, other.len, "length mismatch");
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a ^= b;
+        }
+    }
+
+    /// In-place complement (tail bits stay zero).
+    pub fn not_assign(&mut self) {
+        for w in &mut self.words {
+            *w = !*w;
+        }
+        self.mask_tail();
+    }
+
+    /// Intersection `self ∧ other`.
+    pub fn and(&self, other: &BitVec) -> BitVec {
+        let mut out = self.clone();
+        out.and_assign(other);
+        out
+    }
+
+    /// Union `self ∨ other`.
+    pub fn or(&self, other: &BitVec) -> BitVec {
+        let mut out = self.clone();
+        out.or_assign(other);
+        out
+    }
+
+    /// Complement `¬self`.
+    pub fn not(&self) -> BitVec {
+        let mut out = self.clone();
+        out.not_assign();
+        out
+    }
+
     /// Iterates over bits as bools.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
+    }
+
+    /// Indices of the set positions, ascending.
+    pub fn indices(&self) -> Vec<usize> {
+        let mut out = Vec::with_capacity(self.count_ones());
+        for (wi, &word) in self.words.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                out.push(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+        out
+    }
+
+    /// Iterates over the set positions, ascending, without materializing
+    /// them.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            std::iter::successors((word != 0).then_some(word), |w| {
+                let next = w & (w - 1);
+                (next != 0).then_some(next)
+            })
+            .map(move |w| wi * 64 + w.trailing_zeros() as usize)
+        })
+    }
+
+    /// Smallest set position `>= from`, or `None`. Word-parallel: skips
+    /// clear words 64 positions at a time.
+    pub fn next_set_bit(&self, from: usize) -> Option<usize> {
+        if from >= self.len {
+            return None;
+        }
+        let mut wi = from / 64;
+        let mut word = self.words[wi] & (u64::MAX << (from % 64));
+        loop {
+            if word != 0 {
+                return Some(wi * 64 + word.trailing_zeros() as usize);
+            }
+            wi += 1;
+            if wi == self.words.len() {
+                return None;
+            }
+            word = self.words[wi];
+        }
     }
 
     /// The underlying words (trailing bits beyond `len` are zero).
@@ -174,15 +420,154 @@ impl BitVec {
     pub fn low_u64(&self) -> u64 {
         self.words.first().copied().unwrap_or(0)
     }
+
+    /// The words as little-endian bytes, word after word — the canonical
+    /// byte encoding of a bit-string record that keyed hashes consume.
+    pub fn to_le_bytes(&self) -> Vec<u8> {
+        self.words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    /// Concatenates word-aligned shard vectors, in order, into one vector —
+    /// the deterministic merge step of sharded parallel execution. Shard
+    /// `i`'s vector covers the next `parts[i].len()` rows, and every part
+    /// except the last must end on a word (multiple-of-64) boundary, so the
+    /// merge is a pure word copy with no shifting.
+    ///
+    /// The merged vector's tail bits beyond the combined length are masked
+    /// to zero here regardless of what the final part's last word carried,
+    /// so a non-multiple-of-64 final shard can never leak set bits past
+    /// `n_rows` and over-count downstream popcounts.
+    ///
+    /// ```
+    /// use so_data::BitVec;
+    /// let a = BitVec::from_fn(64, |i| i % 2 == 0);
+    /// let b = BitVec::from_fn(70, |i| i % 2 == 0);
+    /// let merged = BitVec::concat_aligned([a, b]);
+    /// assert_eq!(merged.len(), 134);
+    /// assert_eq!(merged.count_ones(), 67);
+    /// ```
+    ///
+    /// Zero-row parts are skipped: a zero-row shard (an empty dataset, or a
+    /// delta segment that has seen no rows yet) contributes no words and no
+    /// rows, so it cannot trip the alignment requirement no matter where it
+    /// appears in the sequence.
+    ///
+    /// # Panics
+    /// Panics if any non-empty part other than the last starts at a row
+    /// offset that is not a multiple of 64.
+    pub fn concat_aligned<I: IntoIterator<Item = BitVec>>(parts: I) -> BitVec {
+        let mut words: Vec<u64> = Vec::new();
+        let mut len = 0usize;
+        for part in parts {
+            if part.len == 0 {
+                continue;
+            }
+            assert_eq!(
+                len % 64,
+                0,
+                "shard boundary at row {len} is not word-aligned"
+            );
+            words.extend_from_slice(&part.words);
+            len += part.len;
+        }
+        let mut out = BitVec { words, len };
+        out.mask_tail();
+        out
+    }
+
+    /// The vector restricted to positions `[range.start, range.end)` of
+    /// `self`, re-indexed from zero — a pure word copy thanks to the
+    /// word-aligned start. This is how a shard worker reads an
+    /// already-cached full-length bitmap for just its rows.
+    ///
+    /// # Panics
+    /// Panics unless `range.start` is a multiple of 64 and the range lies
+    /// within the vector.
+    pub fn slice_aligned(&self, range: std::ops::Range<usize>) -> BitVec {
+        assert_eq!(range.start % 64, 0, "slice start must be word-aligned");
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "slice {}..{} out of range {}",
+            range.start,
+            range.end,
+            self.len
+        );
+        let len = range.end - range.start;
+        let w0 = range.start / 64;
+        let words = self.words[w0..w0 + len.div_ceil(64)].to_vec();
+        let mut out = BitVec { words, len };
+        out.mask_tail();
+        out
+    }
+
+    /// Extends the vector to `new_len` positions, the new ones clear — how
+    /// a tombstone bitmap tracks a delta segment that just grew. The
+    /// existing bits are unchanged; growth is amortized O(new words).
+    ///
+    /// # Panics
+    /// Panics if `new_len < len` (tombstones never shrink; compaction
+    /// replaces them wholesale).
+    pub fn grow(&mut self, new_len: usize) {
+        assert!(
+            new_len >= self.len,
+            "cannot shrink a bit vector from {} to {new_len} bits",
+            self.len
+        );
+        self.words.resize(new_len.div_ceil(64), 0);
+        self.len = new_len;
+    }
+
+    /// Zeroes the bits of the last word at positions `>= len`.
+    fn mask_tail(&mut self) {
+        let tail = self.len % 64;
+        if tail != 0 {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
+        }
+    }
 }
 
+/// Bits `Debug` prints before eliding the rest.
+const DEBUG_BITS: usize = 128;
+
 impl fmt::Debug for BitVec {
+    /// `BitVec[0110…; 2/130 set]`: the first `DEBUG_BITS` bits, then the
+    /// popcount over the length, so a million-row selection in a failed
+    /// assertion stays one line.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "BitVec[")?;
-        for b in self.iter() {
+        for b in self.iter().take(DEBUG_BITS) {
             write!(f, "{}", u8::from(b))?;
         }
-        write!(f, "]")
+        if self.len > DEBUG_BITS {
+            write!(f, "…")?;
+        }
+        write!(f, "; {}/{} set]", self.count_ones(), self.len)
+    }
+}
+
+impl std::ops::BitAnd for &BitVec {
+    type Output = BitVec;
+
+    fn bitand(self, rhs: &BitVec) -> BitVec {
+        self.and(rhs)
+    }
+}
+
+impl std::ops::BitOr for &BitVec {
+    type Output = BitVec;
+
+    fn bitor(self, rhs: &BitVec) -> BitVec {
+        self.or(rhs)
+    }
+}
+
+impl std::ops::Not for &BitVec {
+    type Output = BitVec;
+
+    fn not(self) -> BitVec {
+        BitVec::not(self)
     }
 }
 
@@ -465,6 +850,85 @@ mod tests {
         ds.push(BitVec::from_bools(&[false, true, false]));
         ds.push(BitVec::from_bools(&[true, true, true]));
         assert_eq!(ds.column_counts(), vec![2, 3, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn and_length_mismatch_panics() {
+        BitVec::zeros(10).and_assign(&BitVec::zeros(11));
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn count_and_not_length_mismatch_panics() {
+        BitVec::zeros(10).count_and_not(&BitVec::zeros(11));
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn is_subset_of_length_mismatch_panics() {
+        BitVec::zeros(10).is_subset_of(&BitVec::zeros(11));
+    }
+
+    #[test]
+    #[should_panic(expected = "weight length mismatch")]
+    fn weighted_count_length_mismatch_panics() {
+        BitVec::ones(10).weighted_count(&[1; 9]);
+    }
+
+    #[test]
+    fn concat_aligned_masks_final_shard_tail() {
+        // The final shard ends mid-word (70 % 64 != 0). A NOT on the merged
+        // vector exercises the tail invariant: if merge left bits set past
+        // n_rows the popcount would over-count.
+        let a = BitVec::from_fn(64, |_| true);
+        let b = BitVec::from_fn(70, |_| true);
+        let merged = BitVec::concat_aligned([a, b]);
+        assert_eq!(merged.len(), 134);
+        assert_eq!(merged.count_ones(), 134);
+        assert_eq!(merged.not().count_ones(), 0);
+        // Tail word holds exactly 134 - 128 = 6 set bits, nothing above.
+        assert_eq!(merged.words().last().unwrap() >> (134 % 64), 0);
+    }
+
+    #[test]
+    fn concat_aligned_empty_and_single() {
+        let empty = BitVec::concat_aligned(std::iter::empty());
+        assert_eq!(empty.len(), 0);
+        assert_eq!(empty.count_ones(), 0);
+        let one = BitVec::concat_aligned([BitVec::from_fn(10, |i| i < 3)]);
+        assert_eq!(one.len(), 10);
+        assert_eq!(one.count_ones(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "not word-aligned")]
+    fn concat_aligned_rejects_misaligned_interior_shard() {
+        let _ = BitVec::concat_aligned([
+            BitVec::zeros(10), // 10 % 64 != 0 and not the last part
+            BitVec::zeros(64),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot shrink")]
+    fn grow_rejects_shrinking() {
+        BitVec::zeros(10).grow(9);
+    }
+
+    #[test]
+    #[should_panic(expected = "word-aligned")]
+    fn slice_aligned_rejects_misaligned_start() {
+        BitVec::zeros(100).slice_aligned(10..20);
+    }
+
+    #[test]
+    fn debug_elides_long_vectors() {
+        let short = BitVec::from_bools(&[true, false, true]);
+        assert_eq!(format!("{short:?}"), "BitVec[101; 2/3 set]");
+        let long = format!("{:?}", BitVec::ones(1000));
+        assert!(long.ends_with("…; 1000/1000 set]"), "{long}");
+        assert!(long.len() < 200, "{long}");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * **binary records** (`{0,1}`) and **bit-string records** (`{0,1}^d`) via
 //!   [`bits::BitVec`] and [`bits::BitDataset`] — the domain of the
 //!   Dinur–Nissim reconstruction attacks (Theorem 1.1) and of the
-//!   predicate-singling-out composition attack (Theorem 2.8);
+//!   predicate-singling-out composition attack (Theorem 2.8). The same
+//!   [`bits::BitVec`] marks the rows a predicate selects;
 //! * **tabular records** via [`dataset::Dataset`] with a typed
 //!   [`schema::Schema`] — the domain of the k-anonymity analyses
 //!   (Theorem 2.10), the Sweeney-style linkage experiments, and the census
@@ -39,7 +40,6 @@ pub mod population;
 pub mod ratings;
 pub mod rng;
 pub mod schema;
-pub mod selection;
 pub mod sharded;
 pub mod value;
 pub mod versioned;
@@ -55,7 +55,6 @@ pub use obs::{delta_metrics, DeltaMetrics};
 pub use population::{Population, PopulationConfig};
 pub use ratings::{RatingsConfig, RatingsData};
 pub use schema::{AttributeDef, AttributeRole, DataType, Schema};
-pub use selection::SelectionVector;
 pub use sharded::word_aligned_ranges;
 pub use value::Value;
 pub use versioned::{

@@ -5,9 +5,9 @@
 //! every query is a predicate count, and a count over `n` rows is the sum of
 //! counts over any partition of those rows. [`word_aligned_ranges`] fixes
 //! one such partition: contiguous row ranges whose starts are multiples of
-//! 64, so a range-local [`crate::SelectionVector`] occupies whole words of
+//! 64, so a range-local [`crate::BitVec`] occupies whole words of
 //! the full-dataset bitmap and merging range results is a pure word copy in
-//! range order ([`crate::SelectionVector::concat_aligned`]) — no bit
+//! range order ([`crate::BitVec::concat_aligned`]) — no bit
 //! shifting, no overlap, and bit-identical output no matter how many ranges
 //! the work was split into.
 

@@ -12,9 +12,9 @@
 //!   [`Dataset`] sharing the base's schema and interner — which freezes at
 //!   [`DELTA_SEGMENT_ROWS`] rows, after which a new tail opens;
 //! * **deletes** set bits in per-segment **tombstone bitmaps**
-//!   ([`SelectionVector`]s); no row ever moves, so cached per-segment
+//!   ([`BitVec`]s); no row ever moves, so cached per-segment
 //!   selections stay valid and a live count is just
-//!   [`SelectionVector::count_and_not`] against the mask;
+//!   [`BitVec::count_and_not`] against the mask;
 //! * once the delta count reaches the **compaction threshold**
 //!   (`SO_COMPACT_THRESHOLD`, default [`DEFAULT_COMPACT_THRESHOLD`]), the
 //!   live rows are gathered into a fresh base, tombstones are
@@ -29,8 +29,8 @@
 
 use std::collections::BTreeSet;
 
+use crate::bits::BitVec;
 use crate::dataset::Dataset;
-use crate::selection::SelectionVector;
 use crate::value::Value;
 
 /// Rows after which the open tail delta freezes and a new one opens.
@@ -90,7 +90,7 @@ pub struct VersionedDataset {
     deltas: Vec<Dataset>,
     /// Tombstone bitmaps, index 0 for the base, `1 + i` for delta `i`.
     /// Always sized to the owning segment's current row count.
-    tombs: Vec<SelectionVector>,
+    tombs: Vec<BitVec>,
     /// Per-delta touched-column sets: column `c` is present iff some row of
     /// that delta carries a non-missing cell in `c`. The base has no entry
     /// (every column counts as touched there).
@@ -119,7 +119,7 @@ impl VersionedDataset {
         VersionedDataset {
             base,
             deltas: Vec::new(),
-            tombs: vec![SelectionVector::none(n)],
+            tombs: vec![BitVec::zeros(n)],
             touched: Vec::new(),
             version: 0,
             base_epoch: 0,
@@ -164,7 +164,7 @@ impl VersionedDataset {
     ///
     /// # Panics
     /// Panics if `i >= n_segments()`.
-    pub fn tombstones(&self, i: usize) -> &SelectionVector {
+    pub fn tombstones(&self, i: usize) -> &BitVec {
         &self.tombs[i]
     }
 
@@ -187,7 +187,7 @@ impl VersionedDataset {
 
     /// Rows alive in segment `i` (segment rows minus its tombstones).
     pub fn live_in_segment(&self, i: usize) -> usize {
-        self.segment(i).n_rows() - self.tombs[i].count()
+        self.segment(i).n_rows() - self.tombs[i].count_ones()
     }
 
     /// Total live rows across all segments — the `n` of the current
@@ -249,7 +249,7 @@ impl VersionedDataset {
         };
         if tail_frozen {
             self.deltas.push(self.base.empty_like());
-            self.tombs.push(SelectionVector::none(0));
+            self.tombs.push(BitVec::zeros(0));
             self.touched.push(BTreeSet::new());
         }
         let tail = self.deltas.len() - 1;
@@ -346,7 +346,7 @@ impl VersionedDataset {
         if self.deltas.len() < self.compact_threshold {
             return false;
         }
-        let dropped: usize = self.tombs.iter().map(SelectionVector::count).sum();
+        let dropped: usize = self.tombs.iter().map(BitVec::count_ones).sum();
         let fresh = self.snapshot();
         let m = crate::obs::delta_metrics();
         m.compaction_runs.inc();
@@ -356,7 +356,7 @@ impl VersionedDataset {
         self.base = fresh;
         self.deltas.clear();
         self.touched.clear();
-        self.tombs = vec![SelectionVector::none(n)];
+        self.tombs = vec![BitVec::zeros(n)];
         self.base_epoch += 1;
         true
     }
@@ -520,7 +520,7 @@ mod tests {
             assert_eq!(count_age(&v, lo, hi), count_age(&w, lo, hi), "{lo}..{hi}");
         }
         // Tombstones were physically dropped by compaction.
-        assert_eq!(v.tombstones(0).count(), 0);
+        assert_eq!(v.tombstones(0).count_ones(), 0);
         assert_eq!(v.segment(0).n_rows(), v.n_live());
     }
 

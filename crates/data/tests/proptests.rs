@@ -123,66 +123,6 @@ proptest! {
         prop_assert_eq!(da.cmp(&db), a.cmp(&b));
     }
 
-    /// BitVec set/get behaves like a Vec<bool>.
-    #[test]
-    fn bitvec_models_vec_bool(bits in proptest::collection::vec(any::<bool>(), 0..200)) {
-        let v = BitVec::from_bools(&bits);
-        prop_assert_eq!(v.len(), bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            prop_assert_eq!(v.get(i), b);
-        }
-        prop_assert_eq!(v.count_ones(), bits.iter().filter(|&&b| b).count());
-    }
-
-    /// The word-at-a-time builders agree with a bit-at-a-time reference
-    /// (`zeros` + `set`), including `len % 64 != 0` tails, and uphold the
-    /// trailing-bits-are-zero invariant so `count_ones`, `low_u64`, and
-    /// `hamming_distance` see no garbage.
-    #[test]
-    fn bitvec_builders_agree_with_bit_at_a_time(
-        bits in proptest::collection::vec(any::<bool>(), 0..300),
-    ) {
-        let mut reference = BitVec::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            reference.set(i, b);
-        }
-        let from_slice = BitVec::from_bools(&bits);
-        let from_iter = BitVec::from_iter_bits(bits.iter().copied());
-        prop_assert_eq!(&from_slice, &reference);
-        prop_assert_eq!(&from_iter, &reference);
-        prop_assert_eq!(from_slice.words(), reference.words());
-        // Trailing bits beyond len are zero in the last word.
-        let tail = bits.len() % 64;
-        if tail != 0 {
-            prop_assert_eq!(from_slice.words().last().unwrap() >> tail, 0);
-            prop_assert_eq!(from_iter.words().last().unwrap() >> tail, 0);
-        }
-        prop_assert_eq!(from_slice.count_ones(), reference.count_ones());
-        prop_assert_eq!(from_iter.low_u64(), reference.low_u64());
-        prop_assert_eq!(from_slice.hamming_distance(&reference), 0);
-        prop_assert_eq!(from_iter.hamming_distance(&reference), 0);
-    }
-
-    /// Hamming distance is a metric: symmetric, zero iff equal, triangle.
-    #[test]
-    fn hamming_is_a_metric(
-        a in proptest::collection::vec(any::<bool>(), 32),
-        b in proptest::collection::vec(any::<bool>(), 32),
-        c in proptest::collection::vec(any::<bool>(), 32),
-    ) {
-        let (va, vb, vc) = (
-            BitVec::from_bools(&a),
-            BitVec::from_bools(&b),
-            BitVec::from_bools(&c),
-        );
-        prop_assert_eq!(va.hamming_distance(&vb), vb.hamming_distance(&va));
-        prop_assert_eq!(va.hamming_distance(&va), 0);
-        prop_assert!(
-            va.hamming_distance(&vc)
-                <= va.hamming_distance(&vb) + vb.hamming_distance(&vc)
-        );
-    }
-
     /// group_by partitions the row set exactly.
     #[test]
     fn group_by_partitions((dtypes, rows) in arb_dataset()) {
@@ -220,48 +160,174 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// SelectionVector bitmap algebra vs naive boolean vectors.
+// BitVec against a `Vec<bool>` model.
 // ---------------------------------------------------------------------------
 
-use so_data::{column_counts, SelectionVector};
+use so_data::column_counts;
+
+/// Lengths on and around word boundaries, plus random ones.
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(1),
+        Just(63),
+        Just(64),
+        Just(65),
+        Just(130),
+        0usize..300,
+    ]
+}
+
+/// Two operands, a missing-value mask and per-position weights, all of one
+/// length.
+fn arb_model() -> impl Strategy<Value = (Vec<bool>, Vec<bool>, Vec<bool>, Vec<u64>)> {
+    use proptest::collection::vec;
+    arb_len().prop_flat_map(|n| {
+        (
+            vec(any::<bool>(), n),
+            vec(any::<bool>(), n),
+            vec(any::<bool>(), n),
+            vec(0u64..1000, n),
+        )
+    })
+}
+
+/// The bits of the last word at positions `>= len` are all zero.
+fn tail_is_clear(v: &BitVec) -> bool {
+    v.len() % 64 == 0 || v.words().last().is_some_and(|w| w >> (v.len() % 64) == 0)
+}
+
+fn bools(v: &BitVec) -> Vec<bool> {
+    v.iter().collect()
+}
+
+fn zip_with(a: &[bool], b: &[bool], f: impl Fn(bool, bool) -> bool) -> Vec<bool> {
+    a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect()
+}
+
+fn count(bits: &[bool]) -> usize {
+    bits.iter().filter(|&&b| b).count()
+}
 
 proptest! {
-    /// Packed bitmaps agree with plain `Vec<bool>` semantics bit-for-bit:
-    /// count, get, indices, and next_set_bit. Lengths straddle word
-    /// boundaries, so the `len % 64 != 0` tail word is routinely hit.
+    /// Every operation of the packed vector agrees with the same operation
+    /// on a plain `Vec<bool>`, and every result keeps the bits past `len`
+    /// in its last word clear (so popcounts, equality and hashing stay
+    /// exact).
     #[test]
-    fn selection_matches_bool_vector(bits in proptest::collection::vec(any::<bool>(), 1..300)) {
-        let v = SelectionVector::from_bools(&bits);
-        prop_assert_eq!(v.len(), bits.len());
-        prop_assert_eq!(v.count(), bits.iter().filter(|&&b| b).count());
-        let expected: Vec<usize> =
-            (0..bits.len()).filter(|&i| bits[i]).collect();
-        prop_assert_eq!(v.indices(), expected.clone());
-        prop_assert_eq!(v.next_set_bit(0), expected.first().copied());
-        for (i, &bit) in bits.iter().enumerate() {
-            prop_assert_eq!(v.get(i), bit, "bit {}", i);
-        }
-    }
+    fn bitvec_matches_vec_bool_model((a, b, missing, weights) in arb_model()) {
+        let n = a.len();
+        let va = BitVec::from_bools(&a);
+        let vb = BitVec::from_bools(&b);
+        prop_assert!(tail_is_clear(&va));
 
-    /// AND/OR/NOT match pointwise boolean algebra; NOT never leaks bits
-    /// into the tail word.
-    #[test]
-    fn selection_algebra_matches_pointwise(
-        a in proptest::collection::vec(any::<bool>(), 1..300),
-        b in proptest::collection::vec(any::<bool>(), 1..300),
-    ) {
-        let n = a.len().min(b.len());
-        let va = SelectionVector::from_bools(&a[..n]);
-        let vb = SelectionVector::from_bools(&b[..n]);
-        let (and, or, not) = (va.and(&vb), va.or(&vb), va.not());
-        for i in 0..n {
-            prop_assert_eq!(and.get(i), a[i] && b[i]);
-            prop_assert_eq!(or.get(i), a[i] || b[i]);
-            prop_assert_eq!(not.get(i), !a[i]);
+        // Builders agree with bit-at-a-time `set` over `zeros`.
+        let mut by_set = BitVec::zeros(n);
+        for (i, &bit) in a.iter().enumerate() {
+            by_set.set(i, bit);
         }
-        prop_assert_eq!(not.count(), n - va.count());
-        prop_assert_eq!(va.and(&va.not()).count(), 0);
-        prop_assert_eq!(va.or(&va.not()).count(), n);
+        prop_assert_eq!(&by_set, &va);
+        prop_assert_eq!(&BitVec::from_iter_bits(a.iter().copied()), &va);
+        prop_assert_eq!(&BitVec::from_fn(n, |i| a[i]), &va);
+        let rows: Vec<usize> = (0..n).collect();
+        let scanned = BitVec::from_column(&rows, &missing, |&i| a[i]);
+        prop_assert_eq!(bools(&scanned), zip_with(&a, &missing, |x, m| x && !m));
+        prop_assert!(tail_is_clear(&scanned));
+
+        // Readers.
+        let ones_a: Vec<usize> = (0..n).filter(|&i| a[i]).collect();
+        prop_assert_eq!(va.len(), n);
+        prop_assert_eq!(va.is_empty(), n == 0);
+        prop_assert_eq!(bools(&va), a.clone());
+        for (i, &bit) in a.iter().enumerate() {
+            prop_assert_eq!(va.get(i), bit, "bit {}", i);
+        }
+        prop_assert_eq!(va.count_ones(), ones_a.len());
+        prop_assert_eq!(va.is_zero(), ones_a.is_empty());
+        prop_assert_eq!(va.indices(), ones_a.clone());
+        prop_assert_eq!(va.iter_ones().collect::<Vec<_>>(), ones_a.clone());
+        for from in 0..=n + 1 {
+            let next = ones_a.iter().copied().find(|&i| i >= from);
+            prop_assert_eq!(va.next_set_bit(from), next, "from {}", from);
+        }
+        let weighted: u64 = ones_a.iter().map(|&i| weights[i]).sum();
+        prop_assert_eq!(va.weighted_count(&weights), weighted);
+        let low = (0..n.min(64)).fold(0u64, |w, i| w | u64::from(a[i]) << i);
+        prop_assert_eq!(va.low_u64(), low);
+        let bytes = va.to_le_bytes();
+        prop_assert_eq!(bytes.len(), n.div_ceil(64) * 8);
+        for (i, &byte) in bytes.iter().enumerate() {
+            for j in 0..8 {
+                let bit = 8 * i + j;
+                prop_assert_eq!(byte >> j & 1 == 1, bit < n && a[bit], "bit {}", bit);
+            }
+        }
+
+        // Pairwise algebra and counts.
+        let and = zip_with(&a, &b, |x, y| x && y);
+        let or = zip_with(&a, &b, |x, y| x || y);
+        let xor = zip_with(&a, &b, |x, y| x != y);
+        let not: Vec<bool> = a.iter().map(|&x| !x).collect();
+        for (got, want) in [
+            (&va & &vb, &and),
+            (va.and(&vb), &and),
+            (&va | &vb, &or),
+            (va.or(&vb), &or),
+            (!&va, &not),
+            (va.not(), &not),
+        ] {
+            prop_assert_eq!(bools(&got), want.clone());
+            prop_assert!(tail_is_clear(&got));
+        }
+        let mut x = va.clone();
+        x.xor_assign(&vb);
+        prop_assert_eq!(bools(&x), xor.clone());
+        let mut x = va.clone();
+        x.and_assign(&vb);
+        x.or_assign(&vb);
+        x.not_assign();
+        prop_assert_eq!(bools(&x), b.iter().map(|&y| !y).collect::<Vec<_>>());
+        prop_assert!(tail_is_clear(&x));
+        prop_assert_eq!(va.and_count(&vb), count(&and));
+        prop_assert_eq!(va.count_and_not(&vb), count(&zip_with(&a, &b, |x, y| x && !y)));
+        prop_assert_eq!(va.hamming_distance(&vb), count(&xor));
+        prop_assert_eq!(va.is_subset_of(&vb), (0..n).all(|i| !a[i] || b[i]));
+        prop_assert!(va.and(&vb).is_subset_of(&va));
+        prop_assert!(va.is_subset_of(&va.or(&vb)));
+
+        // Constants: `ones` and `!zeros` are all-true with a clear tail.
+        let ones = BitVec::ones(n);
+        prop_assert_eq!(bools(&ones), vec![true; n]);
+        prop_assert!(tail_is_clear(&ones));
+        prop_assert_eq!(&!&BitVec::zeros(n), &ones);
+        prop_assert!((!&ones).is_zero());
+        prop_assert!(BitVec::zeros(n).is_zero());
+
+        // Word-aligned slices merge back into the whole, with zero-row
+        // parts salted anywhere.
+        for cut in (0..=n).step_by(64) {
+            let head = va.slice_aligned(0..cut);
+            let rest = va.slice_aligned(cut..n);
+            prop_assert_eq!(bools(&head), a[..cut].to_vec());
+            prop_assert_eq!(bools(&rest), a[cut..].to_vec());
+            prop_assert!(tail_is_clear(&head) && tail_is_clear(&rest));
+            let merged = BitVec::concat_aligned([
+                BitVec::zeros(0),
+                head,
+                BitVec::zeros(0),
+                rest,
+                BitVec::zeros(0),
+            ]);
+            prop_assert_eq!(&merged, &va);
+        }
+
+        // Growth appends clear positions.
+        let mut grown = va.clone();
+        grown.grow(n + 70);
+        let mut want = a.clone();
+        want.extend([false; 70]);
+        prop_assert_eq!(bools(&grown), want);
+        prop_assert_eq!((!&grown).count_ones(), n + 70 - ones_a.len());
     }
 
     /// The transpose-based column_counts equals a per-bit count.

@@ -8,7 +8,7 @@
 //! (by box-hull growth), widening boxes to the hull of the merged pair,
 //! until every class carries at least `l` distinct sensitive values.
 
-use so_data::{Dataset, SelectionVector, Value};
+use so_data::{BitVec, Dataset, Value};
 
 use crate::generalized::{AnonymizedDataset, EquivalenceClass, GenValue};
 
@@ -82,11 +82,11 @@ fn assert_attainable(
 /// Greedily merges classes until every class has at least `l` distinct
 /// values of `sensitive_col`. Returns the new release.
 ///
-/// Deficient classes are tracked in a [`SelectionVector`] over class slots:
+/// Deficient classes are tracked in a [`BitVec`] over class slots:
 /// a class's diversity only changes when it absorbs another, so after each
 /// merge only the merged class is re-checked (plus a bit move mirroring the
 /// `swap_remove`) instead of re-scanning every class's rows. The next class
-/// to fix is found with a word-skipping [`SelectionVector::next_set_bit`],
+/// to fix is found with a word-skipping [`BitVec::next_set_bit`],
 /// which visits classes in the same ascending order as the full rescan in
 /// [`enforce_l_diversity_scalar`] — the two produce identical releases.
 ///
@@ -103,7 +103,7 @@ pub fn enforce_l_diversity(
     assert_attainable(&classes, source, sensitive_col, l);
     // Bit i set ⇔ classes[i] currently lacks diversity. The vector keeps its
     // original length; bits at or beyond classes.len() are always clear.
-    let mut deficient = SelectionVector::from_fn(classes.len(), |i| {
+    let mut deficient = BitVec::from_fn(classes.len(), |i| {
         distinct_sensitive(&classes[i], source, sensitive_col) < l
     });
     while let Some(bad_idx) = deficient.next_set_bit(0) {

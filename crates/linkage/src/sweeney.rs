@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use so_data::{Dataset, SelectionVector, Value};
+use so_data::{BitVec, Dataset, Value};
 
 /// A claimed link: released row `released_row` belongs to the person
 /// identified by `claimed_id` in the identified dataset.
@@ -129,7 +129,7 @@ pub fn link_releases(
 }
 
 /// Word-parallel variant of [`link_releases`]: builds one bitmap index per
-/// QI column (value → [`SelectionVector`] over identified rows), then
+/// QI column (value → [`BitVec`] over identified rows), then
 /// resolves each released row by intersecting its per-column bitmaps with
 /// word-level ANDs. The index is built once and the per-row work is
 /// `O(arity · n_identified / 64)` word operations with early exit on an
@@ -150,14 +150,14 @@ pub fn link_releases_bitmap(
     assert_eq!(released_qi.len(), identified_qi.len(), "QI arity mismatch");
     let n_id = identified.n_rows();
     // Per-column bitmap index of the identified dataset.
-    let index: Vec<HashMap<Value, SelectionVector>> = identified_qi
+    let index: Vec<HashMap<Value, BitVec>> = identified_qi
         .iter()
         .map(|&c| {
-            let mut by_value: HashMap<Value, SelectionVector> = HashMap::new();
+            let mut by_value: HashMap<Value, BitVec> = HashMap::new();
             for r in 0..n_id {
                 by_value
                     .entry(identified.get(r, c))
-                    .or_insert_with(|| SelectionVector::none(n_id))
+                    .or_insert_with(|| BitVec::zeros(n_id))
                     .set(r, true);
             }
             by_value
@@ -167,7 +167,7 @@ pub fn link_releases_bitmap(
     let mut unmatched = 0usize;
     let mut ambiguous = 0usize;
     for r in 0..released.n_rows() {
-        let mut acc: Option<SelectionVector> = None;
+        let mut acc: Option<BitVec> = None;
         let mut dead = false;
         for (by_value, &c) in index.iter().zip(released_qi) {
             let Some(bitmap) = by_value.get(&released.get(r, c)) else {
@@ -178,7 +178,7 @@ pub fn link_releases_bitmap(
                 None => acc = Some(bitmap.clone()),
                 Some(a) => {
                     a.and_assign(bitmap);
-                    if a.is_none() {
+                    if a.is_zero() {
                         dead = true;
                         break;
                     }
@@ -191,8 +191,8 @@ pub fn link_releases_bitmap(
         }
         // Zero QI columns ⇒ every identified row matches, as in the hash
         // join (whose empty key indexes the full dataset).
-        let acc = acc.unwrap_or_else(|| SelectionVector::all(n_id));
-        match acc.count() {
+        let acc = acc.unwrap_or_else(|| BitVec::ones(n_id));
+        match acc.count_ones() {
             0 => unmatched += 1,
             1 => {
                 let row = acc.next_set_bit(0).expect("count is 1");
@@ -270,7 +270,7 @@ pub fn link_releases_planned(
     let mut ambiguous = 0usize;
     for (r, target) in plan.targets().iter().enumerate() {
         let bitmap = &cache[&target.expect("every released row has a target")];
-        match bitmap.count() {
+        match bitmap.count_ones() {
             0 => unmatched += 1,
             1 => {
                 let row = bitmap.next_set_bit(0).expect("count is 1");

@@ -36,7 +36,7 @@
 pub mod metrics;
 pub mod trace;
 
-pub use metrics::{global, Counter, Gauge, Histogram, Registry};
+pub use metrics::{global, Counter, Gauge, Histogram, Registry, MICRO_BOUNDS};
 pub use trace::{
     current_request_id, enabled, event, flush, set_subscriber, span, with_request_id, Field,
     JsonLinesSubscriber, RequestIdGuard, Span, TraceSubscriber,

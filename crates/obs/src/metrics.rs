@@ -89,6 +89,20 @@ struct HistogramInner {
     sum: AtomicU64,
 }
 
+/// Decade bucket bounds (µs) from 10 µs to 100 s, shared by the timing
+/// histograms of the layers whose cost spans that whole range (a lint or a
+/// plan execution takes µs on a toy workload and seconds on a large one).
+pub const MICRO_BOUNDS: [f64; 8] = [
+    10.0,
+    100.0,
+    1_000.0,
+    10_000.0,
+    100_000.0,
+    1_000_000.0,
+    10_000_000.0,
+    100_000_000.0,
+];
+
 /// A histogram with buckets fixed at registration time.
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramInner>);

@@ -22,7 +22,7 @@
 //! belongs behind an [`Atom::Opaque`] evaluator instead.
 
 use so_data::rng::keyed_hash;
-use so_data::{BitVec, Dataset, SelectionVector, Value};
+use so_data::{BitVec, Dataset, Value};
 
 use crate::ir::Atom;
 use crate::predicate::canonical_bytes;
@@ -67,14 +67,7 @@ pub fn eval_atom_bits(atom: &Atom, record: &BitVec) -> Option<bool> {
             key,
             modulus,
             target,
-        } => {
-            let bytes: Vec<u8> = record
-                .words()
-                .iter()
-                .flat_map(|w| w.to_le_bytes())
-                .collect();
-            Some(keyed_hash(*key, &bytes) % *modulus == *target)
-        }
+        } => Some(keyed_hash(*key, &record.to_le_bytes()) % *modulus == *target),
         _ => None,
     }
 }
@@ -83,10 +76,10 @@ pub fn eval_atom_bits(atom: &Atom, record: &BitVec) -> Option<bool> {
 /// columnar scan kernel. `None` when the atom has no tabular semantics.
 ///
 /// Typed atoms (`ValueEquals`, `IntRange`) read the column's typed slice
-/// and pack 64 rows per word ([`SelectionVector::from_column`]). Hash atoms
+/// and pack 64 rows per word ([`BitVec::from_column`]). Hash atoms
 /// walk rows (the hash is inherently row-at-a-time) but still emit a packed
 /// bitmap so downstream boolean combination stays word-parallel.
-pub fn scan_atom(atom: &Atom, ds: &Dataset) -> Option<SelectionVector> {
+pub fn scan_atom(atom: &Atom, ds: &Dataset) -> Option<BitVec> {
     scan_atom_range(atom, ds, 0..ds.n_rows())
 }
 
@@ -99,11 +92,7 @@ pub fn scan_atom(atom: &Atom, ds: &Dataset) -> Option<SelectionVector> {
 ///
 /// # Panics
 /// Panics if the range extends past the dataset.
-pub fn scan_atom_range(
-    atom: &Atom,
-    ds: &Dataset,
-    rows: std::ops::Range<usize>,
-) -> Option<SelectionVector> {
+pub fn scan_atom_range(atom: &Atom, ds: &Dataset, rows: std::ops::Range<usize>) -> Option<BitVec> {
     assert!(
         rows.start <= rows.end && rows.end <= ds.n_rows(),
         "row range {}..{} out of range {}",
@@ -116,17 +105,17 @@ pub fn scan_atom_range(
         Atom::IntRange { col, lo, hi } => {
             let column = ds.column(*col);
             Some(match column.int_values() {
-                Some(vals) => SelectionVector::from_column(
-                    &vals[rows.clone()],
-                    &column.missing_mask()[rows],
-                    |&v| v >= *lo && v <= *hi,
-                ),
+                Some(vals) => {
+                    BitVec::from_column(&vals[rows.clone()], &column.missing_mask()[rows], |&v| {
+                        v >= *lo && v <= *hi
+                    })
+                }
                 // Non-Int column: as_int() is always None, nothing matches.
-                None => SelectionVector::none(len),
+                None => BitVec::zeros(len),
             })
         }
         Atom::ValueEquals { col, value } => Some(scan_value_equals(ds, *col, value, rows)),
-        Atom::RowHash { .. } | Atom::KeyedHash { .. } => Some(SelectionVector::from_fn(len, |i| {
+        Atom::RowHash { .. } | Atom::KeyedHash { .. } => Some(BitVec::from_fn(len, |i| {
             eval_atom_row(atom, ds, rows.start + i).expect("hash atoms have tabular semantics")
         })),
         Atom::BitExtract { .. } | Atom::Opaque { .. } => None,
@@ -140,40 +129,40 @@ fn scan_value_equals(
     col: usize,
     value: &Value,
     rows: std::ops::Range<usize>,
-) -> SelectionVector {
+) -> BitVec {
     let column = ds.column(col);
     let missing = &column.missing_mask()[rows.clone()];
     let len = rows.len();
     match value {
         // `Missing == Missing` holds under Value's total order, so the
         // Missing target selects exactly the masked rows.
-        Value::Missing => SelectionVector::from_fn(len, |i| missing[i]),
+        Value::Missing => BitVec::from_fn(len, |i| missing[i]),
         Value::Int(x) => match column.int_values() {
-            Some(vals) => SelectionVector::from_column(&vals[rows], missing, |v| v == x),
-            None => SelectionVector::none(len),
+            Some(vals) => BitVec::from_column(&vals[rows], missing, |v| v == x),
+            None => BitVec::zeros(len),
         },
         // Value's float order is total_cmp, which separates -0.0 from
         // +0.0 and equates NaN with itself; mirror it bit-exactly.
         Value::Float(x) => match column.float_values() {
-            Some(vals) => SelectionVector::from_column(&vals[rows], missing, |v| {
+            Some(vals) => BitVec::from_column(&vals[rows], missing, |v| {
                 v.total_cmp(x) == std::cmp::Ordering::Equal
             }),
-            None => SelectionVector::none(len),
+            None => BitVec::zeros(len),
         },
         Value::Str(x) => match column.str_values() {
-            Some(vals) => SelectionVector::from_column(&vals[rows], missing, |v| v == x),
-            None => SelectionVector::none(len),
+            Some(vals) => BitVec::from_column(&vals[rows], missing, |v| v == x),
+            None => BitVec::zeros(len),
         },
         Value::Bool(x) => match column.bool_values() {
-            Some(vals) => SelectionVector::from_column(&vals[rows], missing, |v| v == x),
-            None => SelectionVector::none(len),
+            Some(vals) => BitVec::from_column(&vals[rows], missing, |v| v == x),
+            None => BitVec::zeros(len),
         },
         Value::Date(x) => match column.date_values() {
             Some(vals) => {
                 let day = x.day_number();
-                SelectionVector::from_column(&vals[rows], missing, |&v| v == day)
+                BitVec::from_column(&vals[rows], missing, |&v| v == day)
             }
-            None => SelectionVector::none(len),
+            None => BitVec::zeros(len),
         },
     }
 }

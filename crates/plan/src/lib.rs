@@ -14,7 +14,7 @@
 //!                                                   │
 //!                                 WorkloadSpec ──compile──▶ QueryPlan
 //!                                                   │
-//!                                  bitmap kernels ──▶ SelectionVector
+//!                                  bitmap kernels ──▶ BitVec
 //! ```
 //!
 //! * [`predicate`] — the [`Predicate`] / [`RowPredicate`] traits and the

@@ -14,21 +14,9 @@
 
 use std::sync::OnceLock;
 
-use so_obs::{global, Counter, Histogram};
+use so_obs::{global, Counter, Histogram, MICRO_BOUNDS};
 
 use crate::plan::PlanStats;
-
-/// Upper bounds (µs) for the execution / shard timing histograms.
-const MICRO_BOUNDS: [f64; 8] = [
-    10.0,
-    100.0,
-    1_000.0,
-    10_000.0,
-    100_000.0,
-    1_000_000.0,
-    10_000_000.0,
-    100_000_000.0,
-];
 
 /// Cached handles to the plan-layer metrics in the [`so_obs::global`]
 /// registry. Fetch once via [`plan_metrics`]; updates are lock-free.

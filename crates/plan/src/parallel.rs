@@ -13,8 +13,8 @@
 //! ```
 //!
 //! Because range boundaries are multiples of 64, a range-local
-//! [`SelectionVector`] occupies whole words of the full bitmap and the merge
-//! ([`SelectionVector::concat_aligned`]) is a pure word copy — answers are
+//! [`BitVec`] occupies whole words of the full bitmap and the merge
+//! ([`BitVec::concat_aligned`]) is a pure word copy — answers are
 //! **bit-identical to the serial path for every thread count**, which is
 //! what lets a CI determinism gate diff transcripts across `SO_THREADS`
 //! settings. Each worker evaluates the plan's node order into a range-local
@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use so_data::{word_aligned_ranges, Dataset, SelectionVector};
+use so_data::{word_aligned_ranges, BitVec, Dataset};
 
 use crate::ir::{Atom, ExprId, PredNode, PredPool};
 use crate::kernels::scan_atom_range;
@@ -209,12 +209,12 @@ impl ParallelExecutor {
             // which worker ran what.
             let cursor = std::sync::atomic::AtomicUsize::new(0);
             let workers = self.threads.min(range_slice.len());
-            let mut tagged: Vec<(usize, Vec<SelectionVector>, u64)> = std::thread::scope(|scope| {
+            let mut tagged: Vec<(usize, Vec<BitVec>, u64)> = std::thread::scope(|scope| {
                 let cursor = &cursor;
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(move || {
-                            let mut done: Vec<(usize, Vec<SelectionVector>, u64)> = Vec::new();
+                            let mut done: Vec<(usize, Vec<BitVec>, u64)> = Vec::new();
                             loop {
                                 let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                 let Some(rows) = range_slice.get(i) else {
@@ -262,12 +262,12 @@ impl ParallelExecutor {
             }
             // Merge barrier: concatenate each node's range bitmaps in range
             // order and publish to the shared cache in plan order.
-            let mut columns: Vec<std::vec::IntoIter<SelectionVector>> = tagged
+            let mut columns: Vec<std::vec::IntoIter<BitVec>> = tagged
                 .into_iter()
                 .map(|(_, bitmaps, _)| bitmaps.into_iter())
                 .collect();
             for &id in &eval_ids {
-                let merged = SelectionVector::concat_aligned(
+                let merged = BitVec::concat_aligned(
                     columns.iter_mut().map(|c| c.next().expect("shard result")),
                 );
                 debug_assert_eq!(merged.len(), ds.n_rows());
@@ -283,7 +283,7 @@ impl ParallelExecutor {
             .iter()
             .map(|t| match t {
                 Some(id) => match cache.get(id) {
-                    Some(b) => PlanOutcome::Count(b.count()),
+                    Some(b) => PlanOutcome::Count(b.count_ones()),
                     None => {
                         stats.unanswerable += 1;
                         PlanOutcome::Unanswerable
@@ -389,12 +389,12 @@ fn execute_shard(
     evaluators: &HashMap<u64, Arc<dyn RowPredicate>>,
     cache: &NodeCache,
     rows: Range<usize>,
-) -> Vec<SelectionVector> {
+) -> Vec<BitVec> {
     let len = rows.len();
-    let mut local: HashMap<ExprId, SelectionVector> = HashMap::with_capacity(eval_ids.len());
+    let mut local: HashMap<ExprId, BitVec> = HashMap::with_capacity(eval_ids.len());
     // Owned copy of child `c`'s shard bitmap (clone from this pass's local
     // results, or an aligned slice of a previously cached full bitmap).
-    let fetch = |local: &HashMap<ExprId, SelectionVector>, c: ExprId| -> SelectionVector {
+    let fetch = |local: &HashMap<ExprId, BitVec>, c: ExprId| -> BitVec {
         match local.get(&c) {
             Some(b) => b.clone(),
             None => cache[&c].slice_aligned(rows.clone()),
@@ -402,14 +402,14 @@ fn execute_shard(
     };
     for &id in eval_ids {
         let bitmap = match pool.node(id) {
-            PredNode::True => SelectionVector::all(len),
-            PredNode::False => SelectionVector::none(len),
+            PredNode::True => BitVec::ones(len),
+            PredNode::False => BitVec::zeros(len),
             PredNode::Atom(atom) => match scan_atom_range(atom, ds, rows.clone()) {
                 Some(b) => b,
                 None => match atom {
                     Atom::Opaque { id: oid } => {
                         let p = &evaluators[oid];
-                        SelectionVector::from_fn(len, |i| p.eval_row(ds, rows.start + i))
+                        BitVec::from_fn(len, |i| p.eval_row(ds, rows.start + i))
                     }
                     _ => unreachable!("non-evaluable atoms are filtered before the scatter"),
                 },

@@ -24,14 +24,14 @@
 //! `CountingEngine` executes plans with no opaque atom against a dataset's
 //! weighted distinct-row form ([`so_data::Dataset::distinct_rows`]) when it
 //! has one, with a node cache of its own, and weighs each target's bitmap by
-//! row multiplicity ([`SelectionVector::weighted_count`]); the popcounts
+//! row multiplicity ([`BitVec::weighted_count`]); the popcounts
 //! [`QueryPlan::execute`] returns then count distinct rows, and
 //! [`PlanStats`] counts scans of the form.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use so_data::{Dataset, SelectionVector};
+use so_data::{BitVec, Dataset};
 
 use crate::ir::{Atom, ExprId, PredNode, PredPool};
 use crate::kernels::scan_atom;
@@ -41,7 +41,7 @@ use crate::workload::{QueryKind, WorkloadSpec};
 /// Per-expression compiled bitmaps, keyed by the owning pool's [`ExprId`].
 /// Caller-owned so it can persist across plan executions (and across
 /// single-query engine calls) against the same dataset.
-pub type NodeCache = HashMap<ExprId, SelectionVector>;
+pub type NodeCache = HashMap<ExprId, BitVec>;
 
 /// Counters describing what executing a plan actually did.
 ///
@@ -179,9 +179,9 @@ impl QueryPlan {
                 stats.cache_hits += 1;
                 continue;
             }
-            let bitmap: Option<SelectionVector> = match pool.node(id) {
-                PredNode::True => Some(SelectionVector::all(n)),
-                PredNode::False => Some(SelectionVector::none(n)),
+            let bitmap: Option<BitVec> = match pool.node(id) {
+                PredNode::True => Some(BitVec::ones(n)),
+                PredNode::False => Some(BitVec::zeros(n)),
                 PredNode::Atom(atom) => match scan_atom(atom, ds) {
                     Some(b) => {
                         stats.atom_scans += 1;
@@ -240,7 +240,7 @@ impl QueryPlan {
             .iter()
             .map(|t| match t {
                 Some(id) => match cache.get(id) {
-                    Some(b) => PlanOutcome::Count(b.count()),
+                    Some(b) => PlanOutcome::Count(b.count_ones()),
                     None => {
                         stats.unanswerable += 1;
                         PlanOutcome::Unanswerable

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use so_data::{Dataset, SelectionVector, Value};
+use so_data::{BitVec, Dataset, Value};
 
 use crate::shape::PredShape;
 
@@ -91,8 +91,8 @@ pub trait RowPredicate: Send + Sync {
     /// scan kernels that read one column slice and combine results with
     /// word-level boolean ops. Implementations must agree exactly with
     /// [`RowPredicate::eval_row`] on every row.
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
-        SelectionVector::from_fn(ds.n_rows(), |row| self.eval_row(ds, row))
+    fn scan(&self, ds: &Dataset) -> BitVec {
+        BitVec::from_fn(ds.n_rows(), |row| self.eval_row(ds, row))
     }
 
     /// Human-readable description.
@@ -117,7 +117,7 @@ impl<P: RowPredicate + ?Sized> RowPredicate for Arc<P> {
         (**self).eval_row(ds, row)
     }
 
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
+    fn scan(&self, ds: &Dataset) -> BitVec {
         (**self).scan(ds)
     }
 

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, SelectionVector, Value,
+    AttributeDef, AttributeRole, BitVec, DataType, Dataset, DatasetBuilder, Schema, Value,
 };
 use so_plan::{
     NodeCache, Noise, ParallelExecutor, PredShape, QueryPlan, RowPredicate, WorkloadSpec,
@@ -107,13 +107,13 @@ proptest! {
         bits in proptest::collection::vec(any::<bool>(), 1..400),
         max_shards in 1usize..9,
     ) {
-        let full = SelectionVector::from_fn(bits.len(), |i| bits[i]);
+        let full = BitVec::from_fn(bits.len(), |i| bits[i]);
         let ranges = so_data::word_aligned_ranges(bits.len(), max_shards);
-        let merged = SelectionVector::concat_aligned(
+        let merged = BitVec::concat_aligned(
             ranges.iter().map(|r| full.slice_aligned(r.clone())),
         );
         prop_assert_eq!(&merged, &full);
-        prop_assert_eq!(merged.count(), bits.iter().filter(|&&b| b).count());
+        prop_assert_eq!(merged.count_ones(), bits.iter().filter(|&&b| b).count());
     }
 
     /// Chunked fan-out over an item list is order-preserving and complete

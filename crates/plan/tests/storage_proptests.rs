@@ -241,7 +241,7 @@ fn float_total_cmp_missing_and_mismatch_corners() {
         &ds,
     )
     .unwrap();
-    assert!(mismatched.is_none());
+    assert!(mismatched.is_zero());
     let missing = scan_atom(
         &Atom::ValueEquals {
             col: 2,
@@ -250,5 +250,5 @@ fn float_total_cmp_missing_and_mismatch_corners() {
         &ds,
     )
     .unwrap();
-    assert_eq!(missing.count(), ds.n_rows());
+    assert_eq!(missing.count_ones(), ds.n_rows());
 }

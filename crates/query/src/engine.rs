@@ -32,7 +32,7 @@
 //! [`CountingEngine`] runs every plan with no opaque atom through the same
 //! [`QueryPlan::execute`] and kernels, serially, against that form, with a
 //! second node cache for the form's bitmaps; each answer is the weighted
-//! popcount ([`SelectionVector::weighted_count`]) of its target's bitmap.
+//! popcount ([`BitVec::weighted_count`]) of its target's bitmap.
 //! This is exact because every tabular atom is a function of a row's cell
 //! values, so equal rows are selected together. Plans with an opaque atom
 //! (whose closure may read the row index) and datasets over the cap take
@@ -40,7 +40,7 @@
 
 use std::collections::HashMap;
 
-use so_data::{Dataset, DistinctRows, SelectionVector};
+use so_data::{BitVec, Dataset, DistinctRows};
 use so_plan::ir::{Atom, ExprId, PredNode, PredPool};
 use so_plan::parallel::ParallelExecutor;
 use so_plan::plan::{NodeCache, PlanOutcome, PlanStats, QueryPlan};
@@ -50,13 +50,13 @@ use crate::audit::QueryAuditor;
 use crate::predicate::RowPredicate;
 
 /// Compiles `p` into a selection bitmap over the rows of `ds`.
-pub fn scan_dataset(ds: &Dataset, p: &dyn RowPredicate) -> SelectionVector {
+pub fn scan_dataset(ds: &Dataset, p: &dyn RowPredicate) -> BitVec {
     p.scan(ds)
 }
 
 /// Counts rows of `ds` matching `p` (bitmap scan + popcount).
 pub fn count_dataset(ds: &Dataset, p: &dyn RowPredicate) -> usize {
-    p.scan(ds).count()
+    p.scan(ds).count_ones()
 }
 
 /// Returns the indices of rows matching `p` (bitmap scan + bit-walk).
@@ -266,7 +266,7 @@ impl<'a> CountingEngine<'a> {
             // shape would mint a fresh opaque atom per call and grow the
             // pool without bound.
             crate::obs::query_metrics().volatile_scans.inc();
-            return Some(p.scan(self.ds).count());
+            return Some(p.scan(self.ds).count_ones());
         }
         let id = self.pool.lift(&shape);
         let structural = shape.is_fully_structural();
@@ -300,7 +300,7 @@ impl<'a> CountingEngine<'a> {
                 PlanOutcome::Count(c) => Some(c),
                 // Structural but non-tabular (bit-string shapes on a custom
                 // row predicate): fall back to the predicate's own scan.
-                PlanOutcome::Unanswerable => Some(p.scan(self.ds).count()),
+                PlanOutcome::Unanswerable => Some(p.scan(self.ds).count_ones()),
             }
         } else {
             // Contains an opaque atom: the closure itself is the only
@@ -314,7 +314,7 @@ impl<'a> CountingEngine<'a> {
                 nodes_evaluated: 1,
                 ..PlanStats::default()
             });
-            let c = b.count();
+            let c = b.count_ones();
             self.cache.insert(id, b);
             Some(c)
         }
@@ -441,10 +441,10 @@ impl<'a> CountingEngine<'a> {
 
 /// The count a bitmap stands for: its popcount over the full dataset, or
 /// its weighted popcount over the distinct-row form.
-fn weighed(bitmap: &SelectionVector, form: Option<&DistinctRows>) -> usize {
+fn weighed(bitmap: &BitVec, form: Option<&DistinctRows>) -> usize {
     match form {
         Some(f) => bitmap.weighted_count(f.weights()) as usize,
-        None => bitmap.count(),
+        None => bitmap.count_ones(),
     }
 }
 

@@ -10,7 +10,7 @@
 //!   [`NodeCache`] stamped with the segment's [`Dataset::version`]. A
 //!   workload answer is the sum, over segments, of the target bitmap's
 //!   popcount masked by that segment's tombstones
-//!   ([`SelectionVector::count_and_not`]).
+//!   ([`BitVec::count_and_not`]).
 //! * **Delta-scan repair.** Inserts bump only the open tail segment's
 //!   version, so repair re-executes the plan over that one small segment;
 //!   frozen deltas and the base answer from their warm caches. Deletes flip
@@ -32,7 +32,7 @@
 //!
 //! [`Dataset::version`]: so_data::Dataset::version
 
-use so_data::{MutationEffect, SelectionVector, Value, VersionedDataset};
+use so_data::{BitVec, MutationEffect, Value, VersionedDataset};
 use so_plan::ir::{Atom, PredNode, PredPool};
 use so_plan::parallel::ParallelExecutor;
 use so_plan::plan::{NodeCache, PlanStats, QueryPlan};
@@ -295,12 +295,12 @@ impl IncrementalEngine {
             }
             let synthesized = match self.pool.node(id) {
                 PredNode::Atom(Atom::IntRange { col, .. }) if !touched.contains(col) => {
-                    Some(SelectionVector::none(n_rows))
+                    Some(BitVec::zeros(n_rows))
                 }
                 PredNode::Atom(Atom::ValueEquals { col, value }) if !touched.contains(col) => {
                     Some(match value {
-                        Value::Missing => SelectionVector::all(n_rows),
-                        _ => SelectionVector::none(n_rows),
+                        Value::Missing => BitVec::ones(n_rows),
+                        _ => BitVec::zeros(n_rows),
                     })
                 }
                 _ => None,

@@ -32,7 +32,6 @@ pub mod mechanism;
 pub mod obs;
 pub mod predicate;
 pub mod query;
-pub mod shape;
 pub mod transcript;
 pub mod workload;
 
@@ -51,7 +50,7 @@ pub use predicate::{
     ValueEqualsPredicate,
 };
 pub use query::{count, matching_indices, CountQuery, SubsetQuery};
-pub use shape::PredShape;
+pub use so_plan::shape::PredShape;
 pub use transcript::{MutationOp, MutationTranscript, ReplayConfig, ReplayOutcome};
 pub use workload::{
     all_subsets_workload, prefix_workload, random_subset_workload, tracker_workload,

@@ -17,7 +17,7 @@
 pub use so_plan::predicate::{canonical_bytes, Predicate, RowPredicate};
 
 use so_data::rng::keyed_hash;
-use so_data::{BitVec, Dataset, SelectionVector, Value};
+use so_data::{BitVec, Dataset, Value};
 use so_plan::ir::Atom;
 use so_plan::kernels;
 use so_plan::shape::{next_opaque_id, PredShape};
@@ -344,7 +344,7 @@ impl RowPredicate for IntRangePredicate {
         kernels::eval_atom_row(&self.atom(), ds, row).expect("tabular atom")
     }
 
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
+    fn scan(&self, ds: &Dataset) -> BitVec {
         kernels::scan_atom(&self.atom(), ds).expect("tabular atom")
     }
 
@@ -384,7 +384,7 @@ impl RowPredicate for ValueEqualsPredicate {
         kernels::eval_atom_row(&self.atom(), ds, row).expect("tabular atom")
     }
 
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
+    fn scan(&self, ds: &Dataset) -> BitVec {
         kernels::scan_atom(&self.atom(), ds).expect("tabular atom")
     }
 
@@ -411,13 +411,13 @@ impl RowPredicate for AllRowPredicate {
         self.parts.iter().all(|p| p.eval_row(ds, row))
     }
 
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
+    fn scan(&self, ds: &Dataset) -> BitVec {
         // Each conjunct scans its column once; the conjunction is a
         // word-level AND of the resulting bitmaps.
-        let mut acc = SelectionVector::all(ds.n_rows());
+        let mut acc = BitVec::ones(ds.n_rows());
         for p in &self.parts {
             acc.and_assign(&p.scan(ds));
-            if acc.is_none() {
+            if acc.is_zero() {
                 break;
             }
         }
@@ -445,8 +445,8 @@ impl RowPredicate for AnyRowPredicate {
         self.parts.iter().any(|p| p.eval_row(ds, row))
     }
 
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
-        let mut acc = SelectionVector::none(ds.n_rows());
+    fn scan(&self, ds: &Dataset) -> BitVec {
+        let mut acc = BitVec::zeros(ds.n_rows());
         for p in &self.parts {
             acc.or_assign(&p.scan(ds));
         }
@@ -475,7 +475,7 @@ impl RowPredicate for NotRowPredicate {
         !self.inner.eval_row(ds, row)
     }
 
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
+    fn scan(&self, ds: &Dataset) -> BitVec {
         self.inner.scan(ds).not()
     }
 
@@ -560,7 +560,7 @@ impl RowPredicate for RowHashPredicate {
         kernels::eval_atom_row(&self.atom(), ds, row).expect("tabular atom")
     }
 
-    fn scan(&self, ds: &Dataset) -> SelectionVector {
+    fn scan(&self, ds: &Dataset) -> BitVec {
         kernels::scan_atom(&self.atom(), ds).expect("tabular atom")
     }
 

@@ -76,9 +76,7 @@ proptest! {
 // Bitmap scan kernels vs the row-at-a-time oracle.
 // ---------------------------------------------------------------------------
 
-use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, SelectionVector, Value,
-};
+use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
 use so_query::{
     count_dataset, count_dataset_scalar, scan_dataset, select_dataset, select_dataset_scalar,
     AllRowPredicate, IntRangePredicate, RowPredicate, ValueEqualsPredicate,
@@ -121,8 +119,8 @@ fn build_dataset(rows: Vec<RowRecipe>) -> Dataset {
 }
 
 /// The oracle bitmap: evaluate `eval_row` on every row.
-fn oracle_scan(ds: &Dataset, p: &dyn RowPredicate) -> SelectionVector {
-    SelectionVector::from_fn(ds.n_rows(), |r| p.eval_row(ds, r))
+fn oracle_scan(ds: &Dataset, p: &dyn RowPredicate) -> BitVec {
+    BitVec::from_fn(ds.n_rows(), |r| p.eval_row(ds, r))
 }
 
 proptest! {
@@ -180,7 +178,7 @@ proptest! {
             prop_assert_eq!(not_a.get(r), !ea, "NOT row {}", r);
         }
         // Tail invariant: complements never leak bits past n_rows.
-        prop_assert_eq!(not_a.count(), ds.n_rows() - va.count());
+        prop_assert_eq!(not_a.count_ones(), ds.n_rows() - va.count_ones());
     }
 
     /// The conjunction scan (word-level AND with early exit) equals the

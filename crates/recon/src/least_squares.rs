@@ -54,36 +54,21 @@ pub fn least_squares_reconstruct<R: Rng>(
     rng: &mut R,
 ) -> LsqReconResult {
     let n = mechanism.n();
-    // Random queries as row bitmasks (words) for fast mat-vec. The query set
-    // is non-adaptive, so it is declared in full and submitted as one batch.
-    let words_per_row = n.div_ceil(64);
-    let mut rows: Vec<u64> = Vec::with_capacity(m * words_per_row);
+    // Random queries; their member masks are the rows of A, walked by set
+    // bit for a fast mat-vec. The query set is non-adaptive, so it is
+    // declared in full and submitted as one batch.
     let mut queries = Vec::with_capacity(m);
     for _ in 0..m {
         let mut members = BitVec::zeros(n);
         for i in 0..n {
             members.set(i, rng.gen::<bool>());
         }
-        let q = SubsetQuery::new(members);
-        rows.extend_from_slice(q.members().words());
-        queries.push(q);
+        queries.push(SubsetQuery::new(members));
     }
     let answers = mechanism.answer_all(&queries);
 
-    let row = |j: usize| &rows[j * words_per_row..(j + 1) * words_per_row];
-    let a_dot = |j: usize, x: &[f64]| -> f64 {
-        let mut s = 0.0;
-        let r = row(j);
-        for (w, &bits) in r.iter().enumerate() {
-            let mut b = bits;
-            while b != 0 {
-                let i = w * 64 + b.trailing_zeros() as usize;
-                s += x[i];
-                b &= b - 1;
-            }
-        }
-        s
-    };
+    let row = |j: usize| queries[j].members().iter_ones();
+    let a_dot = |j: usize, x: &[f64]| -> f64 { row(j).fold(0.0, |s, i| s + x[i]) };
 
     // Lipschitz constant of the gradient: 2‖AᵀA‖ ≤ 2·(max row sum)·(max col
     // sum) is loose; a practical, safe estimate for random ½-dense A is
@@ -92,14 +77,9 @@ pub fn least_squares_reconstruct<R: Rng>(
     let mut row_sums = vec![0f64; m];
     let mut col_sums = vec![0f64; n];
     for j in 0..m {
-        for (w, &bits) in row(j).iter().enumerate() {
-            let mut b = bits;
-            while b != 0 {
-                let i = w * 64 + b.trailing_zeros() as usize;
-                row_sums[j] += 1.0;
-                col_sums[i] += 1.0;
-                b &= b - 1;
-            }
+        for i in row(j) {
+            row_sums[j] += 1.0;
+            col_sums[i] += 1.0;
         }
     }
     let norm_bound = row_sums.iter().fold(0.0f64, |a, &b| a.max(b))
@@ -133,13 +113,8 @@ pub fn least_squares_reconstruct<R: Rng>(
             if rj == 0.0 {
                 continue;
             }
-            for (w, &bits) in row(j).iter().enumerate() {
-                let mut b = bits;
-                while b != 0 {
-                    let i = w * 64 + b.trailing_zeros() as usize;
-                    grad[i] += rj;
-                    b &= b - 1;
-                }
+            for i in row(j) {
+                grad[i] += rj;
             }
         }
         for i in 0..n {

@@ -10,8 +10,8 @@
 //! * `_micros`-filtered `SO_METRICS` dumps identical across thread counts;
 //! * nonempty trace and metrics files from the traced variants.
 //!
-//! Scratch output lands in `target/verify_matrix/`. Pass `--skip-build` to
-//! reuse already-built release binaries (CI builds them in a prior step).
+//! It first builds the release binaries its case table names (a no-op when
+//! they are up to date). Scratch output lands in `target/verify_matrix/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -201,18 +201,15 @@ fn build_binaries(root: &Path) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let skip_build = std::env::args().any(|a| a == "--skip-build");
     let root = workspace_root();
     let scratch = root.join("target/verify_matrix");
     if let Err(e) = fs::create_dir_all(&scratch) {
         eprintln!("creating {}: {e}", scratch.display());
         return ExitCode::FAILURE;
     }
-    if !skip_build {
-        if let Err(e) = build_binaries(&root) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = build_binaries(&root) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     println!(
         "verify_matrix: {} cases x {} variants",
