@@ -24,6 +24,7 @@
 //! [`Refusal::audit_line`], and the wire carries the same three fields.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use so_dp::ContinualAccountant;
 use so_plan::workload::{Noise, QueryKind, WorkloadSpec};
@@ -58,22 +59,25 @@ impl Refusal {
     /// or `[gate: CODE] workload: [evidence]` for a workload-level refusal.
     /// `spec` renders the query.
     pub fn audit_line(&self, spec: &WorkloadSpec) -> String {
-        let code = &self.code;
-        let evidence = if self.evidence.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", self.evidence)
-        };
+        let mut line = format!("[gate: {}] ", self.code);
         match self.query {
             Some(q) => {
-                let rendered = match &spec.queries()[q].kind {
-                    QueryKind::Pred(id) => spec.pool().render(*id),
-                    QueryKind::Subset(m) => format!("subset(|q| = {})", m.count_ones()),
-                };
-                format!("[gate: {code}] query #{q}: {rendered}{evidence}")
+                let _ = write!(line, "query #{q}: ");
+                match &spec.queries()[q].kind {
+                    QueryKind::Pred(id) => line.push_str(&spec.pool().render(*id)),
+                    QueryKind::Subset(m) => {
+                        let _ = write!(line, "subset(|q| = {})", m.count_ones());
+                    }
+                }
             }
-            None => format!("[gate: {code}] workload:{evidence}"),
+            None => line.push_str("workload:"),
         }
+        if !self.evidence.is_empty() {
+            line.push_str(" [");
+            line.push_str(&self.evidence);
+            line.push(']');
+        }
+        line
     }
 
     fn from_finding(query: Option<usize>, f: &Finding) -> Self {
@@ -194,22 +198,28 @@ impl Admission {
         version: u64,
     ) -> Result<f64, Vec<Refusal>> {
         if report.denies() {
-            let denies = || {
-                report
-                    .findings
-                    .iter()
-                    .filter(|f| f.severity == Severity::Deny)
-            };
-            let mut offending: BTreeMap<usize, &Finding> = BTreeMap::new();
-            for f in denies() {
+            let denies: Vec<&Finding> = report
+                .findings
+                .iter()
+                .filter(|f| f.severity == Severity::Deny)
+                .collect();
+            let mut offending: BTreeMap<usize, usize> = BTreeMap::new();
+            for (i, f) in denies.iter().enumerate() {
                 for &q in &f.queries {
-                    offending.entry(q).or_insert(f);
+                    offending.entry(q).or_insert(i);
                 }
             }
-            let per_query = offending
-                .into_iter()
-                .map(|(q, f)| Refusal::from_finding(Some(q), f));
-            let workload = denies()
+            // A finding's per-query refusals differ only in the index, so
+            // each finding renders its evidence once.
+            let mut rendered: Vec<Option<Refusal>> = vec![None; denies.len()];
+            let per_query = offending.into_iter().map(|(q, i)| Refusal {
+                query: Some(q),
+                ..rendered[i]
+                    .get_or_insert_with(|| Refusal::from_finding(Some(q), denies[i]))
+                    .clone()
+            });
+            let workload = denies
+                .iter()
                 .filter(|f| f.queries.is_empty())
                 .map(|f| Refusal::from_finding(None, f));
             return Err(per_query.chain(workload).collect());

@@ -91,7 +91,7 @@ pub fn parse_bench_output(text: &str) -> BenchReport {
 }
 
 /// Bench groups the recorded artifact must cover.
-pub const REQUIRED_GROUPS: [&str; 12] = [
+pub const REQUIRED_GROUPS: [&str; 13] = [
     "subset_sum_true_answer",
     "count_range_100k",
     "select_range_100k",
@@ -103,6 +103,7 @@ pub const REQUIRED_GROUPS: [&str; 12] = [
     "incremental_scan",
     "lint_cost",
     "service_throughput",
+    "wire_codec",
     "obs_overhead",
 ];
 

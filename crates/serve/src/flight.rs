@@ -19,7 +19,7 @@
 //! and the newest few records only, so `SO_FLIGHT_CAP=4` and the default
 //! 256 produce byte-identical output (CI's `verify_matrix` proves it).
 
-use crate::json::Json;
+use crate::json::{write_array, write_escaped, Json, ObjectWriter};
 use crate::proto::ProtoError;
 
 /// Environment variable setting the per-tenant ring capacity.
@@ -105,6 +105,23 @@ impl RequestRecord {
             ("cache_hits", Json::num(self.cache_hits as f64)),
             ("latency_micros", Json::num(self.latency_micros as f64)),
         ])
+    }
+
+    /// Appends [`RequestRecord::to_json`]'s rendering to `out`, without
+    /// building the tree (the server's flight dump).
+    pub(crate) fn write_json(&self, out: &mut Vec<u8>) {
+        let mut o = ObjectWriter::open(out);
+        o.num("cache_hits", self.cache_hits as f64);
+        write_array(o.key("codes"), &self.codes, |c, out| write_escaped(c, out));
+        o.num("epsilon_spent", self.epsilon_spent);
+        o.str("evidence", &self.evidence);
+        o.num("latency_micros", self.latency_micros as f64);
+        o.str("op", &self.op);
+        o.str("outcome", &self.outcome);
+        o.str("request_id", &self.request_id);
+        o.num("rows_scanned", self.rows_scanned as f64);
+        o.str("tenant", &self.tenant);
+        o.close();
     }
 
     /// Parses the wire/HTTP JSON form.

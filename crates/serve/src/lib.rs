@@ -12,7 +12,8 @@
 //!
 //! * [`proto`] — a length-prefixed JSON-frame wire protocol (workload
 //!   declarations in, answers or evidence-bearing refusals out), with
-//!   [`json`] as its dependency-free parser/renderer;
+//!   [`json`] as its dependency-free lexer, tree and renderer; the server
+//!   decodes and encodes frames typed, the client through the tree;
 //! * [`tenant`] — per-tenant isolation: each tenant has its own dataset,
 //!   secret column, lint-gate policy, optional continual-release
 //!   ε-accountant, token-bucket rate limit, and bounded audit trail; it

@@ -30,6 +30,15 @@
 //! the *gate's* lint codes (`SO-RECON`, `SO-CBUDGET`, …) with per-query
 //! evidence, so a refusal over the wire is as citable as one in the audit
 //! trail.
+//!
+//! Two codecs speak this format. The server's is typed:
+//! [`Request::decode`] reads a request frame straight off the
+//! [`crate::json`] lexer, and [`Response::write_frame`] renders a response
+//! straight into its frame. The [`Json`] tree ([`Request::to_json`],
+//! [`Response::from_json`], [`read_frame`], [`write_frame`]) is the
+//! client's and the introspection surfaces' codec, and the reference the
+//! typed one is tested against: the same bytes out, the same request or
+//! [`ProtoError`] in.
 
 use std::io::{Read, Write};
 
@@ -37,7 +46,7 @@ use so_plan::workload::Noise;
 use so_query::SubsetQuery;
 
 use crate::flight::RequestRecord;
-use crate::json::{parse, Json};
+use crate::json::{self, parse, Json, JsonError, ObjectWriter, Parser};
 
 /// Protocol version string echoed by `hello`.
 pub const PROTOCOL_VERSION: &str = "so-serve/1";
@@ -129,13 +138,20 @@ impl std::error::Error for ProtoError {}
 /// would hand Nagle's algorithm a tiny segment to sit on and cost a
 /// delayed-ACK round trip per request.
 pub fn write_frame<W: Write>(w: &mut W, value: &Json) -> std::io::Result<()> {
-    let payload = value.render();
-    let bytes = payload.as_bytes();
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    frame.extend_from_slice(bytes);
+    let mut frame = Vec::new();
+    framed(&mut frame, |out| value.write(out));
     w.write_all(&frame)?;
     w.flush()
+}
+
+/// Appends one frame to `out`: a 4-byte big-endian length, then whatever
+/// `payload` writes.
+fn framed(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Reads one frame and parses its JSON payload.
@@ -145,28 +161,36 @@ pub fn write_frame<W: Write>(w: &mut W, value: &Json) -> std::io::Result<()> {
 /// payload has **not** been consumed — the connection is unrecoverable and
 /// should be closed after reporting the error.
 pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> Result<Json, ProtoError> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-            // A clean EOF before any length byte is a normal close; EOF
-            // with 1–3 bytes read also lands here — either way no frame.
-            return Err(ProtoError::Closed);
-        }
-        Err(e) => return Err(ProtoError::Truncated(e.to_string())),
-    }
-    read_frame_with_prefix(r, len_buf, max_frame)
+    let payload = read_payload(r, None, max_frame)?;
+    parse(utf8(&payload)?).map_err(|e| ProtoError::BadJson(e.to_string()))
 }
 
-/// Completes a frame whose 4-byte length prefix was already read — the
-/// server reads the first 4 bytes of a connection itself to sniff `"GET "`
-/// (plain-HTTP `/metrics` scrapes share the port), then resumes framing
-/// here.
-pub fn read_frame_with_prefix<R: Read>(
+/// Reads one frame's payload bytes, with [`read_frame`]'s framing errors.
+///
+/// `prefix` is a 4-byte length prefix already taken off the stream: the
+/// server reads the first 4 bytes of a connection itself to sniff
+/// `"GET "` (plain-HTTP `/metrics` scrapes share the port), then resumes
+/// framing here.
+pub fn read_payload<R: Read>(
     r: &mut R,
-    len_buf: [u8; 4],
+    prefix: Option<[u8; 4]>,
     max_frame: usize,
-) -> Result<Json, ProtoError> {
+) -> Result<Vec<u8>, ProtoError> {
+    let len_buf = match prefix {
+        Some(p) => p,
+        None => {
+            let mut len_buf = [0u8; 4];
+            match r.read_exact(&mut len_buf) {
+                Ok(()) => len_buf,
+                // A clean EOF before any length byte is a normal close; EOF
+                // with 1–3 bytes read also lands here — either way no frame.
+                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    return Err(ProtoError::Closed)
+                }
+                Err(e) => return Err(ProtoError::Truncated(e.to_string())),
+            }
+        }
+    };
     let declared = u32::from_be_bytes(len_buf) as usize;
     let cap = max_frame.min(ABSOLUTE_MAX_FRAME);
     if declared > cap {
@@ -178,8 +202,11 @@ pub fn read_frame_with_prefix<R: Read>(
     let mut payload = vec![0u8; declared];
     r.read_exact(&mut payload)
         .map_err(|e| ProtoError::Truncated(e.to_string()))?;
-    let text = std::str::from_utf8(&payload).map_err(|e| ProtoError::BadJson(e.to_string()))?;
-    parse(text).map_err(|e| ProtoError::BadJson(e.to_string()))
+    Ok(payload)
+}
+
+fn utf8(payload: &[u8]) -> Result<&str, ProtoError> {
+    std::str::from_utf8(payload).map_err(|e| ProtoError::BadJson(e.to_string()))
 }
 
 /// One query inside a `workload` request.
@@ -452,6 +479,145 @@ impl Request {
             other => Err(shape(&format!("unknown op {other:?}"))),
         }
     }
+
+    /// Decodes a request frame's payload, and its optional `request_id`:
+    /// the server's one decode. A well-formed request is read straight off
+    /// the lexer into its typed form, with no [`Json`] tree; anything else
+    /// is re-parsed through the tree path (`parse` →
+    /// [`extract_request_id`] → [`Request::from_json`]), so every
+    /// rejection carries exactly that path's [`ProtoError`].
+    pub fn decode(payload: &[u8]) -> Result<(Request, Option<String>), ProtoError> {
+        let text = utf8(payload)?;
+        if let Some(decoded) = decode_typed(text) {
+            return Ok(decoded);
+        }
+        let value = parse(text).map_err(|e| ProtoError::BadJson(e.to_string()))?;
+        let request_id = extract_request_id(&value)?;
+        Ok((Request::from_json(&value)?, request_id))
+    }
+}
+
+/// The typed half of [`Request::decode`]: `Some` only for a syntactically
+/// valid request object whose fields all have their wire types, with
+/// duplicate keys resolved last-wins and unknown keys skipped, as the tree
+/// path resolves them. It gives up (`None`) at the first surprise,
+/// including shapes the tree path would still accept.
+fn decode_typed(text: &str) -> Option<(Request, Option<String>)> {
+    let (mut op, mut tenant, mut request_id, mut queries, mut noise) =
+        (None, None, None, None, None);
+    json::document(text, |p| {
+        p.object(0, |p, key, depth| {
+            match &*key {
+                "op" => op = Some(p.string()?),
+                "tenant" => tenant = Some(p.string()?),
+                "request_id" => request_id = Some(p.string()?),
+                "queries" => {
+                    let mut qs = Vec::new();
+                    p.array(depth, |p, d| {
+                        qs.push(decode_query(p, d)?);
+                        Ok(())
+                    })?;
+                    queries = Some(qs);
+                }
+                "noise" => noise = Some(decode_noise(p, depth)?),
+                _ => p.skip_value(depth)?,
+            }
+            Ok(())
+        })
+    })
+    .ok()?;
+    let request = match op?.as_ref() {
+        "hello" => Request::Hello {
+            tenant: tenant?.into_owned(),
+        },
+        "ping" => Request::Ping,
+        "budget" => Request::Budget,
+        "metrics" => Request::Metrics,
+        "flight" => Request::Flight,
+        "workload" => Request::Workload {
+            queries: queries.filter(|qs| !qs.is_empty())?,
+            noise: noise?,
+        },
+        _ => return None,
+    };
+    let request_id = match request_id {
+        None => None,
+        Some(id) if !id.is_empty() && id.chars().count() <= MAX_REQUEST_ID_LEN => {
+            Some(id.into_owned())
+        }
+        Some(_) => return None,
+    };
+    Some((request, request_id))
+}
+
+/// One `queries` element for [`decode_typed`].
+fn decode_query(p: &mut Parser<'_>, depth: usize) -> Result<WireQuery, JsonError> {
+    let (mut kind, mut rows, mut col, mut lo, mut hi, mut value) =
+        (None, None, None, None, None, None);
+    p.object(depth, |p, key, d| {
+        match &*key {
+            "kind" => kind = Some(p.string()?),
+            "rows" => {
+                let mut rs = Vec::new();
+                p.array(d, |p, _| {
+                    let row = json::f64_as_usize(p.number()?);
+                    rs.push(row.ok_or_else(|| p.err("not a row index"))?);
+                    Ok(())
+                })?;
+                rows = Some(rs);
+            }
+            "col" => col = Some(p.number()?),
+            "lo" => lo = Some(p.number()?),
+            "hi" => hi = Some(p.number()?),
+            "value" => value = Some(p.number()?),
+            _ => p.skip_value(d)?,
+        }
+        Ok(())
+    })?;
+    let query = match kind.as_deref() {
+        Some("subset") => rows.map(WireQuery::Subset),
+        Some("int_range") => (|| {
+            Some(WireQuery::IntRange {
+                col: json::f64_as_usize(col?)?,
+                lo: json::f64_as_i64(lo?)?,
+                hi: json::f64_as_i64(hi?)?,
+            })
+        })(),
+        Some("value_eq") => (|| {
+            Some(WireQuery::ValueEq {
+                col: json::f64_as_usize(col?)?,
+                value: json::f64_as_i64(value?)?,
+            })
+        })(),
+        _ => None,
+    };
+    query.ok_or_else(|| p.err("not a wire query"))
+}
+
+/// The `noise` object for [`decode_typed`].
+fn decode_noise(p: &mut Parser<'_>, depth: usize) -> Result<Noise, JsonError> {
+    let (mut kind, mut alpha, mut epsilon) = (None, None, None);
+    p.object(depth, |p, key, d| {
+        match &*key {
+            "kind" => kind = Some(p.string()?),
+            "alpha" => alpha = Some(p.number()?),
+            "epsilon" => epsilon = Some(p.number()?),
+            _ => p.skip_value(d)?,
+        }
+        Ok(())
+    })?;
+    // `number` already refuses non-finite values.
+    let noise = match kind.as_deref() {
+        Some("exact") => Some(Noise::Exact),
+        Some("bounded") => alpha
+            .filter(|&a| a >= 0.0)
+            .map(|alpha| Noise::Bounded { alpha }),
+        Some("dp") => epsilon
+            .filter(|&e| e > 0.0)
+            .map(|epsilon| Noise::PureDp { epsilon }),
+        _ => None,
+    };
+    noise.ok_or_else(|| p.err("not a noise annotation"))
 }
 
 /// One refusal inside a refused-workload response: the gate's own
@@ -626,6 +792,114 @@ impl Response {
         }
     }
 
+    /// Appends this response to `out` as one frame, tagged with
+    /// `request_id` when given: the server's one encode. The bytes are
+    /// those of [`write_frame`] over [`Response::to_json`] (through
+    /// [`attach_request_id`]), rendered without building the tree.
+    pub fn write_frame(&self, request_id: Option<&str>, out: &mut Vec<u8>) {
+        framed(out, |out| self.write_json(request_id, out));
+    }
+
+    /// The payload of [`Response::write_frame`]: keys in the sorted order
+    /// a [`Json::Obj`] renders them in.
+    fn write_json(&self, request_id: Option<&str>, out: &mut Vec<u8>) {
+        let mut o = ObjectWriter::open(out);
+        match self {
+            Response::Welcome {
+                tenant,
+                gated,
+                n_rows,
+                version,
+            } => {
+                o.bool("gated", *gated);
+                o.num("n_rows", *n_rows as f64);
+                o.bool("ok", true);
+                o.opt_str("request_id", request_id);
+                o.str("tenant", tenant);
+                o.str("version", version);
+            }
+            Response::Pong => {
+                o.bool("ok", true);
+                o.bool("pong", true);
+                o.opt_str("request_id", request_id);
+            }
+            Response::Answers { answers } => {
+                json::write_array(o.key("answers"), answers, |&a, out| {
+                    json::write_num(a, out);
+                });
+                o.bool("ok", true);
+                o.opt_str("request_id", request_id);
+            }
+            Response::Refused { refusals, queries } => {
+                let mut error = ObjectWriter::open(o.key("error"));
+                error.str("code", "SO-REFUSED");
+                error.str("detail", "workload refused by the gate");
+                error.close();
+                o.bool("ok", false);
+                o.num("queries", *queries as f64);
+                json::write_array(o.key("refusals"), refusals, |r, out| {
+                    let mut f = ObjectWriter::open(out);
+                    f.str("code", &r.code);
+                    f.str("evidence", &r.evidence);
+                    if let Some(q) = r.query {
+                        f.num("query", q as f64);
+                    }
+                    f.close();
+                });
+                o.opt_str("request_id", request_id);
+            }
+            Response::BudgetState {
+                accounting,
+                spent,
+                remaining,
+                version,
+            } => {
+                o.bool("accounting", *accounting);
+                o.bool("ok", true);
+                o.num("remaining", *remaining);
+                o.opt_str("request_id", request_id);
+                o.num("spent", *spent);
+                o.num("version", *version as f64);
+            }
+            Response::MetricsDump { text } => {
+                o.str("metrics", text);
+                o.bool("ok", true);
+                o.opt_str("request_id", request_id);
+            }
+            Response::FlightDump {
+                tenant,
+                cap,
+                total,
+                records,
+            } => {
+                let mut flight = ObjectWriter::open(o.key("flight"));
+                flight.num("cap", *cap as f64);
+                json::write_array(flight.key("records"), records, RequestRecord::write_json);
+                flight.str("tenant", tenant);
+                flight.num("total", *total as f64);
+                flight.close();
+                o.bool("ok", true);
+                o.opt_str("request_id", request_id);
+            }
+            Response::Error {
+                code,
+                detail,
+                retry_after_ticks,
+            } => {
+                let mut error = ObjectWriter::open(o.key("error"));
+                error.str("code", code);
+                error.str("detail", detail);
+                if let Some(t) = retry_after_ticks {
+                    error.num("retry_after_ticks", *t as f64);
+                }
+                error.close();
+                o.bool("ok", false);
+                o.opt_str("request_id", request_id);
+            }
+        }
+        o.close();
+    }
+
     /// Parses the protocol JSON form.
     pub fn from_json(v: &Json) -> Result<Response, ProtoError> {
         let shape = |m: &str| ProtoError::BadShape(m.to_owned());
@@ -744,6 +1018,9 @@ impl Response {
         Err(shape("unrecognized response shape"))
     }
 }
+
+#[cfg(test)]
+mod codec_tests;
 
 #[cfg(test)]
 mod tests {

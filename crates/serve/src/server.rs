@@ -14,6 +14,10 @@
 //! lets every queued and in-flight session finish its current request,
 //! answers anything a draining session sends next with `SO-SHUTDOWN`, and
 //! joins the pool.
+//!
+//! Frames are decoded with [`Request::decode`] and answered with
+//! [`Response::write_frame`]: the typed codec, which builds no `Json` tree
+//! on the way in or out.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -26,8 +30,7 @@ use std::time::Instant;
 use crate::flight::{slowlog_line, slowlog_micros_from_env, RequestRecord};
 use crate::limit::TickSource;
 use crate::proto::{
-    attach_request_id, extract_request_id, read_frame_with_prefix, write_frame, ProtoError,
-    Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    read_payload, ProtoError, Request, Response, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use crate::tenant::{Tenant, TenantConfig, WorkloadOutcome};
 
@@ -273,88 +276,54 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let mut session_tenant: Option<String> = None;
     let mut prefix = Some(first);
     loop {
-        let frame = {
+        let payload = {
             let mut reader = DrainingReader {
                 stream: &stream,
                 shutdown: &shared.shutdown,
             };
-            match prefix.take() {
-                Some(p) => read_frame_with_prefix(&mut reader, p, shared.max_frame),
-                None => crate::proto::read_frame(&mut reader, shared.max_frame),
-            }
+            read_payload(&mut reader, prefix.take(), shared.max_frame)
         };
-        let value = match frame {
-            Ok(v) => v,
+        // The correlation id is validated with the request, so a malformed
+        // id is an SO-PROTO answer; it is assigned (`srv-N`) when the
+        // client sent none.
+        let decoded = payload.and_then(|p| Request::decode(&p));
+        let (request, supplied) = match decoded {
+            Ok(r) => r,
             Err(ProtoError::Closed) => return,
             Err(e @ ProtoError::Truncated(_)) => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     // Not a peer failure: the draining reader aborted an
                     // idle wait. Tell the session (best-effort) and end it.
-                    let _ = respond(
-                        &mut stream,
-                        &Response::Error {
-                            code: "SO-SHUTDOWN".to_owned(),
-                            detail: "server is draining".to_owned(),
-                            retry_after_ticks: None,
-                        },
-                    );
+                    let _ = respond(&mut stream, &shutdown_error(), None);
                     return;
                 }
                 // Mid-request disconnect: the peer is likely gone; report
                 // best-effort and close.
                 crate::obs::serve_metrics().proto_errors.inc();
-                let _ = respond(&mut stream, &proto_error(&e));
+                let _ = respond(&mut stream, &proto_error(&e), None);
                 return;
             }
             Err(e @ ProtoError::Oversized { .. }) => {
                 // The payload was not consumed — the stream is out of
                 // sync. Answer, then close.
                 crate::obs::serve_metrics().proto_errors.inc();
-                let _ = respond(&mut stream, &proto_error(&e));
+                let _ = respond(&mut stream, &proto_error(&e), None);
                 return;
             }
             Err(e) => {
-                // Garbage bytes with a believable length, or non-JSON
-                // payload: the declared payload *was* consumed, so framing
-                // is still in sync — answer and keep the session.
+                // Garbage bytes with a believable length, a non-JSON
+                // payload or a malformed request: the declared payload
+                // *was* consumed, so framing is still in sync — answer and
+                // keep the session.
                 crate::obs::serve_metrics().proto_errors.inc();
-                if respond(&mut stream, &proto_error(&e)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        // Correlation id: validated before dispatch so a malformed id is an
-        // SO-PROTO answer, assigned (`srv-N`) when the client sent none.
-        let supplied = match extract_request_id(&value) {
-            Ok(id) => id,
-            Err(e) => {
-                crate::obs::serve_metrics().proto_errors.inc();
-                if respond(&mut stream, &proto_error(&e)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let request = match Request::from_json(&value) {
-            Ok(r) => r,
-            Err(e) => {
-                crate::obs::serve_metrics().proto_errors.inc();
-                if respond(&mut stream, &proto_error(&e)).is_err() {
+                if respond(&mut stream, &proto_error(&e), None).is_err() {
                     return;
                 }
                 continue;
             }
         };
         if shared.shutdown.load(Ordering::Acquire) {
-            let _ = respond(
-                &mut stream,
-                &Response::Error {
-                    code: "SO-SHUTDOWN".to_owned(),
-                    detail: "server is draining".to_owned(),
-                    retry_after_ticks: None,
-                },
-            );
+            let _ = respond(&mut stream, &shutdown_error(), None);
             return;
         }
         let request_id = supplied.unwrap_or_else(|| {
@@ -364,7 +333,7 @@ fn serve_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             )
         });
         let response = handle_request(shared, &mut session_tenant, request, &request_id);
-        if respond_with_id(&mut stream, &response, &request_id).is_err() {
+        if respond(&mut stream, &response, Some(&request_id)).is_err() {
             return;
         }
     }
@@ -576,18 +545,25 @@ fn proto_error(e: &ProtoError) -> Response {
     }
 }
 
-fn respond(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    write_frame(stream, &response.to_json())
+fn shutdown_error() -> Response {
+    Response::Error {
+        code: "SO-SHUTDOWN".to_owned(),
+        detail: "server is draining".to_owned(),
+        retry_after_ticks: None,
+    }
 }
 
-/// Like [`respond`], but first tags the response object with the request id
-/// it answers, so a client can correlate frames with its own trace.
-fn respond_with_id(
+/// Writes `response` as one frame, tagged with the request id it answers
+/// (when known) so a client can correlate frames with its own trace.
+fn respond(
     stream: &mut TcpStream,
     response: &Response,
-    request_id: &str,
+    request_id: Option<&str>,
 ) -> std::io::Result<()> {
-    write_frame(stream, &attach_request_id(response.to_json(), request_id))
+    let mut frame = Vec::new();
+    response.write_frame(request_id, &mut frame);
+    stream.write_all(&frame)?;
+    stream.flush()
 }
 
 /// Answers one plain-HTTP `GET`/`HEAD` request and closes. Routes:

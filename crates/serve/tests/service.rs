@@ -197,6 +197,40 @@ fn garbage_payload_keeps_the_session_alive() {
 }
 
 #[test]
+fn escaped_request_id_and_tenant_are_echoed_as_decoded() {
+    let server = boot(demo_tenants());
+    let mut s = raw(&server);
+    // What Python's default `json.dumps` sends for "r😀" and "guarded".
+    for (frame, want_tenant) in [
+        (
+            &b"{\"op\":\"ping\",\"request_id\":\"r\\ud83d\\ude00\"}"[..],
+            None,
+        ),
+        (
+            &b"{\"op\":\"hello\",\"tenant\":\"gu\\u0061rded\",\"request_id\":\"r\\ud83d\\ude00\"}"
+                [..],
+            Some("guarded"),
+        ),
+    ] {
+        s.write_all(&(frame.len() as u32).to_be_bytes()).unwrap();
+        s.write_all(frame).unwrap();
+        let resp = read_frame(&mut s, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(
+            resp.get("request_id").and_then(|v| v.as_str()),
+            Some("r😀"),
+            "{}",
+            resp.render()
+        );
+        match (Response::from_json(&resp).unwrap(), want_tenant) {
+            (Response::Pong, None) => {}
+            (Response::Welcome { tenant, .. }, Some(want)) => assert_eq!(tenant, want),
+            (other, _) => panic!("{other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn partial_writes_are_reassembled() {
     let server = boot(demo_tenants());
     let mut s = raw(&server);
