@@ -1,9 +1,8 @@
 //! The one admission path: every gate in the stack decides a linted
 //! workload here.
 //!
-//! [`GatedEngine`](crate::gate::GatedEngine) (one workload, one snapshot),
-//! [`IncrementalGate`](crate::incremental::IncrementalGate) (a persistent
-//! gate over a mutable dataset) and the `so-serve` tenant (a gate at the
+//! [`IncrementalGate`](crate::gate::IncrementalGate) (a persistent gate
+//! over a versioned dataset) and the `so-serve` tenant (a gate at the
 //! service edge) differ in what they execute, not in how they admit.
 //! [`Admission::decide`] is the decision they share:
 //!

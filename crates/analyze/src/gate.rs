@@ -1,9 +1,10 @@
 //! Gatekeeper mode: the lint verdict wired into the counting engine.
 //!
-//! A [`GatedEngine`] wraps a [`CountingEngine`] behind the static verdict of
-//! [`lint_workload`]: it takes ownership of the declared workload, lints it
-//! once at construction, and then [`GatedEngine::execute`] passes the
-//! verdict through the shared [`Admission`] path, which either
+//! An [`IncrementalGate`] places an owning [`CountingEngine`] behind the
+//! static verdict of [`lint_workload`] and persists across an interleaving
+//! of mutations and workloads. [`IncrementalGate::execute`] lints each
+//! workload and passes the verdict through the shared [`Admission`] path,
+//! which either
 //!
 //! * refuses the workload — every answer is [`WorkloadAnswer::Refused`] and
 //!   the audit trail records one [`Refusal::audit_line`] per offending query
@@ -16,73 +17,154 @@
 //!
 //! Refusing is a static decision with a citable reason, which is exactly the
 //! defence the paper says a query-serving system needs against "overly
-//! accurate answers to too many questions".
+//! accurate answers to too many questions". Immutable data is a
+//! one-segment [`VersionedDataset`] the gate never mutates. What the gate
+//! keeps beyond one workload:
+//!
+//! * **Lint memoization.** Linting is a pure function of the lint-relevant
+//!   workload signature — the queries' structural hashes, their noise
+//!   annotations, and the row count. When the same workload shape arrives
+//!   again over an unchanged signature (the common case in continual
+//!   release: the analyst's dashboard re-asks the same shapes after every
+//!   batch of mutations, and mutations that keep `n_rows` fixed don't move
+//!   the lints' atom partition), the memoized verdict is reused and
+//!   [`lint_workload`] is skipped entirely (`so_gate_relint_skipped_total`).
+//!   Inserts and deletes change the live row count, which changes the
+//!   signature, which forces a fresh lint — the "re-lint only when the
+//!   lint-relevant partition changed" rule falls out of keying the memo on
+//!   exactly the inputs the lint passes read.
+//! * **Continual-release budget.** With a [`ContinualAccountant`] attached,
+//!   ε composes *across dataset versions*: each workload is decided against
+//!   the engine's current version, so the accountant charges (and, with a
+//!   window, ages out) expenditure per version. The `SO-CBUDGET` refusals
+//!   themselves are [`Admission::decide`]'s.
 //!
 //! [`WorkloadAnswer::Refused`]: so_query::engine::WorkloadAnswer::Refused
 //! [`Refusal::audit_line`]: crate::admission::Refusal::audit_line
 
-use so_plan::workload::WorkloadSpec;
+use std::collections::HashMap;
+
+use so_data::{MutationEffect, Value, VersionedDataset};
+use so_dp::ContinualAccountant;
+use so_plan::workload::{Noise, QueryKind, WorkloadSpec};
 use so_query::engine::{CountingEngine, WorkloadAnswers};
 
 use crate::admission::{self, Admission};
 use crate::lint::{lint_workload, LintConfig, LintReport};
 
-/// A counting engine behind a static workload gate.
+/// A persistent workload gate over an owning [`CountingEngine`], with lint
+/// memoization and optional continual-release budget accounting.
 ///
-/// Construction lints the declared workload; queries are only ever executed
-/// when the verdict admits it. The underlying auditor sees every attempt:
-/// admitted queries through the normal path, gated refusals as
-/// [`Refusal::audit_line`] entries naming the lint code.
+/// Queries are only ever executed when the verdict admits them. The
+/// engine's auditor sees every attempt: admitted queries through the normal
+/// path, gated refusals as [`Refusal::audit_line`] entries naming the lint
+/// code.
 ///
 /// [`Refusal::audit_line`]: crate::admission::Refusal::audit_line
-pub struct GatedEngine<'a> {
-    engine: CountingEngine<'a>,
-    workload: WorkloadSpec,
-    report: LintReport,
+pub struct IncrementalGate {
+    engine: CountingEngine<VersionedDataset>,
+    cfg: LintConfig,
+    admission: Admission,
+    memo: HashMap<Vec<u8>, LintReport>,
+    /// The memo key of the most recent workload's verdict.
+    last: Option<Vec<u8>>,
+    relints: usize,
+    relints_skipped: usize,
 }
 
-impl<'a> GatedEngine<'a> {
-    /// Lints `workload` with `cfg` and places `engine` behind the verdict,
-    /// taking ownership of the workload so the plan that was linted is the
-    /// plan that executes.
-    pub fn new(engine: CountingEngine<'a>, mut workload: WorkloadSpec, cfg: &LintConfig) -> Self {
-        let report = lint_workload(&mut workload, cfg);
-        GatedEngine {
+impl IncrementalGate {
+    /// Places `engine` behind the lint verdict of `cfg`, with no budget
+    /// accounting (exact workloads admitted).
+    pub fn new(engine: CountingEngine<VersionedDataset>, cfg: LintConfig) -> Self {
+        IncrementalGate {
             engine,
-            workload,
-            report,
+            cfg,
+            admission: Admission::new(None),
+            memo: HashMap::new(),
+            last: None,
+            relints: 0,
+            relints_skipped: 0,
         }
     }
 
-    /// True iff the gate admits the workload (no deny-severity finding).
-    pub fn is_open(&self) -> bool {
-        !self.report.denies()
+    /// Additionally enforces a continual-release ε budget: the accountant
+    /// composes across every dataset version this gate serves.
+    pub fn with_accountant(
+        engine: CountingEngine<VersionedDataset>,
+        cfg: LintConfig,
+        accountant: ContinualAccountant,
+    ) -> Self {
+        IncrementalGate {
+            admission: Admission::new(Some(accountant)),
+            ..Self::new(engine, cfg)
+        }
     }
 
-    /// The lint report the verdict is based on.
-    pub fn report(&self) -> &LintReport {
-        &self.report
+    /// Read access to the gated engine (dataset, auditor, cache
+    /// statistics).
+    pub fn engine(&self) -> &CountingEngine<VersionedDataset> {
+        &self.engine
     }
 
-    /// The linted workload (as canonicalized by the lints).
-    pub fn workload(&self) -> &WorkloadSpec {
-        &self.workload
+    /// The lint report behind the most recent verdict (`None` before the
+    /// first workload).
+    pub fn report(&self) -> Option<&LintReport> {
+        self.last.as_ref().and_then(|key| self.memo.get(key))
     }
 
-    /// Executes the gated workload.
+    /// The continual accountant, if budget accounting is on.
+    pub fn accountant(&self) -> Option<&ContinualAccountant> {
+        self.admission.accountant()
+    }
+
+    /// Fresh [`lint_workload`] runs this gate has performed.
+    pub fn relints(&self) -> usize {
+        self.relints
+    }
+
+    /// Workloads whose verdict was served from the memo.
+    pub fn relints_skipped(&self) -> usize {
+        self.relints_skipped
+    }
+
+    /// Inserts rows through the gated engine (audited version bump).
+    pub fn insert_rows(&mut self, rows: &[Vec<Value>]) -> MutationEffect {
+        self.engine.insert_rows(rows)
+    }
+
+    /// Tombstones live rows through the gated engine (audited version
+    /// bump).
+    pub fn delete_live(&mut self, live: &[usize]) -> MutationEffect {
+        self.engine.delete_live(live)
+    }
+
+    /// Lints (or recalls the memoized verdict for) `workload` and decides
+    /// it against the engine's current version. A refused workload leaves
+    /// one audit-trail entry per refusal and every answer
+    /// [`WorkloadAnswer::Refused`], so the trail names which queries
+    /// triggered the veto rather than a single blanket entry (the trail
+    /// honors the auditor's cap; the refusal *counter* still counts every
+    /// offending index). An admitted one executes through the engine.
     ///
-    /// If the gate is open this is exactly
-    /// [`CountingEngine::execute_workload`] on the workload that was linted
-    /// at construction. If the verdict denies, no query executes: every
-    /// answer is refused and each refusal lands in the audit trail, so
-    /// the trail names which queries triggered the veto rather than a
-    /// single blanket entry. (The trail honors the auditor's cap; the
-    /// refusal *counter* still counts every offending index.)
-    pub fn execute(&mut self) -> WorkloadAnswers {
+    /// [`WorkloadAnswer::Refused`]: so_query::engine::WorkloadAnswer::Refused
+    pub fn execute(&mut self, mut workload: WorkloadSpec) -> WorkloadAnswers {
         let span = so_obs::span("gate.execute");
-        match Admission::new(None).decide(&self.workload, &self.report, 0) {
+        let key = self.signature(&workload);
+        if self.memo.contains_key(&key) {
+            self.relints_skipped += 1;
+            crate::obs::gate_metrics().relint_skipped.inc();
+        } else {
+            self.relints += 1;
+            let report = lint_workload(&mut workload, &self.cfg);
+            self.memo.insert(key.clone(), report);
+        }
+        let report = &self.memo[&key];
+        let version = self.engine.dataset().version();
+        let decision = self.admission.decide(&workload, report, version);
+        self.last = Some(key);
+        match decision {
             Ok(_) => {
-                let out = self.engine.execute_workload(&self.workload);
+                let out = self.engine.execute_workload(&workload);
                 if so_obs::enabled() {
                     span.finish_with(&[
                         ("verdict", "admitted".to_owned()),
@@ -92,108 +174,145 @@ impl<'a> GatedEngine<'a> {
                 out
             }
             Err(refusals) => {
-                admission::audit(self.engine.auditor_mut(), &self.workload, &refusals);
+                admission::audit(self.engine.auditor_mut(), &workload, &refusals);
                 if so_obs::enabled() {
                     span.finish_with(&[
                         ("verdict", "refused".to_owned()),
                         ("offending", refusals.len().to_string()),
                     ]);
                 }
-                admission::refused_answers(self.workload.len())
+                admission::refused_answers(workload.len())
             }
         }
     }
 
-    /// Read access to the wrapped engine (auditor, cache statistics).
-    pub fn engine(&self) -> &CountingEngine<'a> {
-        &self.engine
-    }
-
-    /// Sets the wrapped engine's worker thread count for plan execution
-    /// (see [`CountingEngine::set_threads`]). Sharded execution is
-    /// bit-identical to serial, so the gate's verdict and the executed
-    /// answers are unaffected — this only changes how fast an admitted
-    /// workload runs.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
-    }
-
-    /// Unwraps the engine, discarding the gate.
-    pub fn into_inner(self) -> CountingEngine<'a> {
-        self.engine
+    /// The lint-relevant signature: row count, then per query the kind
+    /// (subset mask words or target structural hash) and the noise
+    /// annotation. Two workloads with equal signatures produce equal lint
+    /// reports, because the lint passes read nothing else.
+    fn signature(&self, workload: &WorkloadSpec) -> Vec<u8> {
+        let mut key = Vec::with_capacity(16 + workload.len() * 17);
+        key.extend_from_slice(&(workload.n_rows() as u64).to_le_bytes());
+        for q in workload.queries() {
+            match &q.kind {
+                QueryKind::Pred(id) => {
+                    key.push(1);
+                    key.extend_from_slice(&workload.pool().structural_hash(*id).to_le_bytes());
+                }
+                QueryKind::Subset(mask) => {
+                    key.push(2);
+                    key.extend_from_slice(&(mask.len() as u64).to_le_bytes());
+                    key.extend_from_slice(&mask.to_le_bytes());
+                }
+            }
+            match q.noise {
+                Noise::Exact => key.push(10),
+                Noise::Bounded { alpha } => {
+                    key.push(11);
+                    key.extend_from_slice(&alpha.to_bits().to_le_bytes());
+                }
+                Noise::PureDp { epsilon } => {
+                    key.push(12);
+                    key.extend_from_slice(&epsilon.to_bits().to_le_bytes());
+                }
+            }
+        }
+        key
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
-    use so_plan::workload::{Noise, QueryKind};
+    use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema};
+    use so_plan::shape::PredShape;
     use so_query::audit::QueryAuditor;
     use so_query::engine::WorkloadAnswer;
-    use so_query::predicate::{
-        AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
-    };
+    use std::sync::Arc;
 
-    fn ds(n: usize) -> Dataset {
-        let schema = Schema::new(vec![AttributeDef::new(
-            "age",
-            DataType::Int,
-            AttributeRole::QuasiIdentifier,
-        )]);
-        let mut b = DatasetBuilder::new(schema);
+    fn schema() -> Arc<Schema> {
+        Schema::new(vec![
+            AttributeDef::new("age", DataType::Int, AttributeRole::QuasiIdentifier),
+            AttributeDef::new("score", DataType::Int, AttributeRole::Sensitive),
+        ])
+    }
+
+    fn base(n: usize) -> Dataset {
+        let mut b = DatasetBuilder::new(schema());
         for i in 0..n {
-            b.push_row(vec![Value::Int((i % 90) as i64)]);
+            b.push_row(vec![
+                Value::Int((i % 90) as i64),
+                Value::Int((i % 25) as i64),
+            ]);
         }
         b.finish()
     }
 
-    /// The hash-tracker differencing pair: `A`, `A ∧ ¬H`.
-    fn tracker_pair() -> (AllRowPredicate, AllRowPredicate) {
-        let range = IntRangePredicate {
+    fn engine(n: usize) -> CountingEngine<VersionedDataset> {
+        CountingEngine::new(
+            VersionedDataset::with_compact_threshold(base(n), 1_000_000),
+            None,
+        )
+    }
+
+    fn gate(n: usize) -> IncrementalGate {
+        IncrementalGate::new(engine(n), LintConfig::default())
+    }
+
+    fn benign_workload(n_rows: usize, noise: Noise) -> WorkloadSpec {
+        let mut spec = WorkloadSpec::new(n_rows);
+        spec.push_shape(
+            &PredShape::IntRange {
+                col: 0,
+                lo: 10,
+                hi: 40,
+            },
+            noise,
+        );
+        spec.push_shape(
+            &PredShape::ValueEquals {
+                col: 1,
+                value: Value::Int(3),
+            },
+            noise,
+        );
+        spec
+    }
+
+    /// The hash-tracker differencing pair `A`, `A ∧ ¬H` with a 1/256
+    /// residue — the shape the differencing lint denies when exact.
+    fn tracker_workload(n_rows: usize, noise: Noise) -> WorkloadSpec {
+        let mut spec = WorkloadSpec::new(n_rows);
+        let wide = PredShape::IntRange {
             col: 0,
             lo: 0,
             hi: 1000,
         };
-        let hash = RowHashPredicate {
-            hash: KeyedHashPredicate::new(0xBEEF, 256, 0),
-            cols: vec![0],
-        };
-        let a = AllRowPredicate {
-            parts: vec![Box::new(range)],
-        };
-        let b = AllRowPredicate {
-            parts: vec![
-                Box::new(range),
-                Box::new(NotRowPredicate {
-                    inner: Box::new(hash),
-                }),
-            ],
-        };
-        (a, b)
-    }
-
-    fn tracker_workload(n_rows: usize, noise: Noise) -> WorkloadSpec {
-        let (a, b) = tracker_pair();
-        let mut w = WorkloadSpec::new(n_rows);
-        w.push_predicate(&a, noise);
-        w.push_predicate(&b, noise);
-        w
+        let narrow = PredShape::And(vec![
+            wide.clone(),
+            PredShape::Not(Box::new(PredShape::RowHash {
+                key: 0xBEEF,
+                modulus: 256,
+                target: 0,
+                cols: vec![0],
+            })),
+        ]);
+        spec.push_shape(&wide, noise);
+        spec.push_shape(&narrow, noise);
+        spec
     }
 
     #[test]
     fn flagged_workload_is_refused_before_any_answer() {
-        let data = ds(100);
-        let w = tracker_workload(data.n_rows(), Noise::Exact);
-        let mut gated =
-            GatedEngine::new(CountingEngine::new(&data, None), w, &LintConfig::default());
-        assert!(!gated.is_open());
-        let out = gated.execute();
+        let mut gate = gate(100);
+        assert!(gate.report().is_none(), "no verdict before a workload");
+        let out = gate.execute(tracker_workload(100, Noise::Exact));
+        assert!(gate.report().unwrap().denies());
         assert_eq!(
             out.answers,
             vec![WorkloadAnswer::Refused, WorkloadAnswer::Refused]
         );
-        let auditor = gated.engine().auditor();
+        let auditor = gate.engine().auditor();
         assert_eq!(auditor.queries_answered(), 0, "no query was ever answered");
         // One refusal per offending query index, not one blanket entry.
         assert_eq!(auditor.queries_refused(), 2);
@@ -233,17 +352,15 @@ mod tests {
     /// refusal counter still counts every offending index.
     #[test]
     fn per_index_refusals_are_bounded_by_the_trail_cap() {
-        let data = ds(100);
-        let w = tracker_workload(data.n_rows(), Noise::Exact);
+        let data = VersionedDataset::with_compact_threshold(base(100), 1_000_000);
         let auditor = QueryAuditor::with_trail_cap(None, 1);
-        let mut gated = GatedEngine::new(
-            CountingEngine::with_auditor(&data, auditor),
-            w,
-            &LintConfig::default(),
+        let mut gate = IncrementalGate::new(
+            CountingEngine::with_auditor(data, auditor),
+            LintConfig::default(),
         );
-        let out = gated.execute();
+        let out = gate.execute(tracker_workload(100, Noise::Exact));
         assert_eq!(out.answers.len(), 2);
-        let auditor = gated.engine().auditor();
+        let auditor = gate.engine().auditor();
         assert_eq!(auditor.queries_refused(), 2, "counter sees both indices");
         assert_eq!(auditor.trail_len(), 1, "trail keeps only the newest");
         let trail: Vec<_> = auditor.trail().collect();
@@ -268,7 +385,6 @@ mod tests {
     fn workload_level_refusal_reaches_the_trail() {
         use rand::Rng;
         let n = 24;
-        let data = ds(n);
         let mut rng = so_data::rng::seeded_rng(11);
         let mut w = WorkloadSpec::new(n);
         for _ in 0..4 * n {
@@ -278,10 +394,9 @@ mod tests {
             }
             w.push_subset(&so_plan::SubsetQuery::new(members), Noise::Exact);
         }
-        let mut gated =
-            GatedEngine::new(CountingEngine::new(&data, None), w, &LintConfig::default());
-        gated.execute();
-        let auditor = gated.engine().auditor();
+        let mut gate = gate(n);
+        gate.execute(w);
+        let auditor = gate.engine().auditor();
         let per_query = auditor
             .trail()
             .filter(|r| r.description.contains("] query #"))
@@ -301,25 +416,14 @@ mod tests {
 
     #[test]
     fn clean_workload_flows_through() {
-        let data = ds(100);
-        let young = IntRangePredicate {
-            col: 0,
-            lo: 0,
-            hi: 39,
-        };
-        let old = IntRangePredicate {
-            col: 0,
-            lo: 40,
-            hi: 200,
-        };
-        let mut w = WorkloadSpec::new(data.n_rows());
-        w.push_predicate(&young, Noise::Exact);
-        w.push_predicate(&old, Noise::Exact);
-        let mut gated =
-            GatedEngine::new(CountingEngine::new(&data, None), w, &LintConfig::default());
-        assert!(gated.is_open());
-        assert_eq!(gated.report().verdict(), "PASS");
-        let out = gated.execute();
+        let mut gate = gate(100);
+        let mut w = WorkloadSpec::new(100);
+        for (lo, hi) in [(0, 39), (40, 200)] {
+            w.push_shape(&PredShape::IntRange { col: 0, lo, hi }, Noise::Exact);
+        }
+        let out = gate.execute(w);
+        assert!(!gate.report().unwrap().denies());
+        assert_eq!(gate.report().unwrap().verdict(), "PASS");
         let total: usize = out
             .answers
             .iter()
@@ -328,37 +432,35 @@ mod tests {
                 other => panic!("expected a count, got {other:?}"),
             })
             .sum();
-        assert_eq!(total, data.n_rows());
-        assert_eq!(gated.engine().auditor().queries_answered(), 2);
-        assert_eq!(gated.engine().auditor().queries_refused(), 0);
+        assert_eq!(total, 100);
+        assert_eq!(gate.engine().auditor().queries_answered(), 2);
+        assert_eq!(gate.engine().auditor().queries_refused(), 0);
     }
 
-    /// The acceptance criterion of the one-pipeline refactor: the gate
-    /// executes the *identical* plan it linted. Every executed target in the
-    /// engine's pool carries the same stable structural hash as the declared
-    /// expression in the linted workload's pool.
+    /// The gate executes the *identical* plan it linted. Every executed
+    /// target in the engine's pool carries the same stable structural hash
+    /// as the declared expression in the linted workload's pool.
     #[test]
     fn gate_executes_the_same_plan_it_linted() {
-        let data = ds(100);
-        let w = tracker_workload(data.n_rows(), Noise::PureDp { epsilon: 0.1 });
-        let mut gated =
-            GatedEngine::new(CountingEngine::new(&data, None), w, &LintConfig::default());
-        assert!(gated.is_open(), "{:?}", gated.report().findings);
-        let out = gated.execute();
+        let noise = Noise::PureDp { epsilon: 0.1 };
+        let mut gate = gate(100);
+        let out = gate.execute(tracker_workload(100, noise));
+        assert!(!gate.report().unwrap().denies());
         assert_eq!(out.answers.len(), 2);
-        let spec_hashes: Vec<u64> = gated
-            .workload()
+        let mut linted = tracker_workload(100, noise);
+        lint_workload(&mut linted, &LintConfig::default());
+        let spec_hashes: Vec<u64> = linted
             .queries()
             .iter()
             .map(|q| match &q.kind {
-                QueryKind::Pred(id) => gated.workload().pool().structural_hash(*id),
+                QueryKind::Pred(id) => linted.pool().structural_hash(*id),
                 _ => unreachable!(),
             })
             .collect();
         let executed_hashes: Vec<u64> = out
             .targets
             .iter()
-            .map(|t| gated.engine().pool().structural_hash(t.unwrap()))
+            .map(|t| gate.engine().pool().structural_hash(t.unwrap()))
             .collect();
         assert_eq!(
             spec_hashes, executed_hashes,
@@ -367,10 +469,140 @@ mod tests {
     }
 
     #[test]
-    fn same_pair_under_dp_noise_is_admitted() {
-        let data = ds(100);
-        let w = tracker_workload(data.n_rows(), Noise::PureDp { epsilon: 0.1 });
-        let gated = GatedEngine::new(CountingEngine::new(&data, None), w, &LintConfig::default());
-        assert!(gated.is_open(), "{:?}", gated.report().findings);
+    fn memo_skips_relint_until_the_signature_changes() {
+        let mut gate = gate(200);
+        let w = gate.execute(benign_workload(200, Noise::Exact));
+        assert!(w
+            .answers
+            .iter()
+            .all(|a| matches!(a, WorkloadAnswer::Count(_))));
+        assert_eq!((gate.relints(), gate.relints_skipped()), (1, 0));
+
+        // Same shapes, same n_rows: memo hit.
+        let w2 = gate.execute(benign_workload(200, Noise::Exact));
+        assert_eq!(w.answers, w2.answers);
+        assert_eq!((gate.relints(), gate.relints_skipped()), (1, 1));
+
+        // A mutation changes the live count -> signature changes -> fresh
+        // lint.
+        gate.insert_rows(&[vec![Value::Int(20), Value::Int(3)]]);
+        let n = gate.engine().dataset().n_live();
+        gate.execute(benign_workload(n, Noise::Exact));
+        assert_eq!((gate.relints(), gate.relints_skipped()), (2, 1));
+
+        // Different noise on the same shapes is lint-relevant too.
+        gate.execute(benign_workload(n, Noise::Bounded { alpha: 8.0 }));
+        assert_eq!((gate.relints(), gate.relints_skipped()), (3, 1));
+
+        // And the original signature still hits.
+        gate.execute(benign_workload(n, Noise::Exact));
+        assert_eq!((gate.relints(), gate.relints_skipped()), (3, 2));
+    }
+
+    #[test]
+    fn memoized_verdicts_still_refuse() {
+        let mut gate = gate(100);
+        let w1 = gate.execute(tracker_workload(100, Noise::Exact));
+        let w2 = gate.execute(tracker_workload(100, Noise::Exact));
+        assert!(w1.answers.iter().all(|a| *a == WorkloadAnswer::Refused));
+        assert_eq!(w1.answers, w2.answers);
+        assert_eq!(gate.relints_skipped(), 1);
+        assert!(gate.report().unwrap().denies(), "the memoized report");
+        let refusals = gate
+            .engine()
+            .auditor()
+            .trail()
+            .filter(|r| r.description.starts_with("[gate: "))
+            .count();
+        assert!(refusals >= 2, "both executions left refusal entries");
+    }
+
+    #[test]
+    fn continual_budget_composes_across_versions_and_refuses() {
+        let acct = ContinualAccountant::new(1.0);
+        let mut gate = IncrementalGate::with_accountant(engine(150), LintConfig::default(), acct);
+        let noise = Noise::PureDp { epsilon: 0.2 };
+
+        // Workload of 2 x eps=0.2: fits (0.4 spent).
+        let n = gate.engine().dataset().n_live();
+        let w1 = gate.execute(benign_workload(n, noise));
+        assert!(w1
+            .answers
+            .iter()
+            .all(|a| matches!(a, WorkloadAnswer::Count(_))));
+
+        // Mutate: new version, budget carries over.
+        gate.insert_rows(&[vec![Value::Int(20), Value::Int(3)]]);
+        let n = gate.engine().dataset().n_live();
+        let w2 = gate.execute(benign_workload(n, noise));
+        assert!(w2
+            .answers
+            .iter()
+            .all(|a| matches!(a, WorkloadAnswer::Count(_))));
+        let spent = gate.accountant().unwrap().spent();
+        assert!((spent - 0.8).abs() < 1e-12, "0.8 across two versions");
+
+        // Third workload would reach 1.2 > 1.0: refused whole.
+        gate.insert_rows(&[vec![Value::Int(21), Value::Int(4)]]);
+        let n = gate.engine().dataset().n_live();
+        let w3 = gate.execute(benign_workload(n, noise));
+        assert!(w3.answers.iter().all(|a| *a == WorkloadAnswer::Refused));
+        let spent = gate.accountant().unwrap().spent();
+        assert!((spent - 0.8).abs() < 1e-12, "refusal spends nothing");
+        let cbudget_entries = gate
+            .engine()
+            .auditor()
+            .trail()
+            .filter(|r| r.description.contains("[gate: SO-CBUDGET]"))
+            .count();
+        assert_eq!(cbudget_entries, 2, "one refusal entry per query");
+        assert_eq!(gate.accountant().unwrap().version(), 2);
+    }
+
+    #[test]
+    fn non_dp_queries_are_refused_under_an_accountant() {
+        let acct = ContinualAccountant::new(10.0);
+        let mut gate = IncrementalGate::with_accountant(engine(100), LintConfig::default(), acct);
+        let w = gate.execute(benign_workload(100, Noise::Exact));
+        assert!(w.answers.iter().all(|a| *a == WorkloadAnswer::Refused));
+        let entry = gate
+            .engine()
+            .auditor()
+            .trail()
+            .find(|r| r.description.contains("non-DP release"))
+            .expect("refusal entry names the cause");
+        assert!(entry.description.starts_with("[gate: SO-CBUDGET]"));
+        assert!(
+            gate.accountant().unwrap().spent() < 1e-12,
+            "nothing spent on a refused workload"
+        );
+    }
+
+    #[test]
+    fn windowed_accountant_readmits_after_aging_out() {
+        // Window of 1 version: each version gets the whole budget.
+        let acct = ContinualAccountant::with_window(0.5, 1);
+        let mut gate = IncrementalGate::with_accountant(engine(100), LintConfig::default(), acct);
+        let noise = Noise::PureDp { epsilon: 0.2 };
+        let n = gate.engine().dataset().n_live();
+        let ok1 = gate.execute(benign_workload(n, noise));
+        assert!(ok1
+            .answers
+            .iter()
+            .all(|a| matches!(a, WorkloadAnswer::Count(_))));
+        // Same version: a second 0.4 workload would exceed 0.5.
+        let refused = gate.execute(benign_workload(n, noise));
+        assert!(refused
+            .answers
+            .iter()
+            .all(|a| *a == WorkloadAnswer::Refused));
+        // New version: the old spend leaves the window.
+        gate.insert_rows(&[vec![Value::Int(1), Value::Int(1)]]);
+        let n = gate.engine().dataset().n_live();
+        let ok2 = gate.execute(benign_workload(n, noise));
+        assert!(ok2
+            .answers
+            .iter()
+            .all(|a| matches!(a, WorkloadAnswer::Count(_))));
     }
 }

@@ -31,26 +31,23 @@
 //!   as `query: None`), the optional continual-release budget
 //!   (`SO-CBUDGET`), and the single audit-line rendering of a
 //!   [`admission::Refusal`];
-//! * [`gate`] — [`gate::GatedEngine`], a gatekeeper-mode
-//!   [`so_query::CountingEngine`] that lints the declared workload at
-//!   construction and then either refuses it (one citable refusal per
-//!   offending query in the audit trail, with the finding's evidence
-//!   payload) or executes the identical plan via the whole-workload
-//!   planner;
-//! * [`incremental`] — [`incremental::IncrementalGate`], the same admission
-//!   in front of a mutable, versioned dataset, with lint memoization.
+//! * [`gate`] — [`gate::IncrementalGate`], the one gate: an owning
+//!   [`so_query::CountingEngine`] behind the lint verdict of each workload,
+//!   which either refuses it (one citable refusal per offending query in
+//!   the audit trail, with the finding's evidence payload) or executes the
+//!   identical plan via the whole-workload planner. It persists across
+//!   mutations of its versioned dataset, memoizes lint verdicts, and
+//!   optionally enforces a continual-release budget.
 
 pub mod admission;
 pub mod gate;
-pub mod incremental;
 pub mod lattice;
 pub mod lint;
 pub mod matrix;
 pub mod obs;
 
 pub use admission::{Admission, Refusal, CBUDGET_CODE};
-pub use gate::GatedEngine;
-pub use incremental::IncrementalGate;
+pub use gate::IncrementalGate;
 pub use lint::{
     lint_workload, lint_workload_default, Evidence, Finding, LintConfig, LintId, LintReport,
     Severity,

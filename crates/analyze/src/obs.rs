@@ -26,7 +26,7 @@ pub struct GateMetrics {
     /// query executed.
     pub workloads_refused: Counter,
     /// `so_gate_relint_skipped_total` — workloads whose lint verdict was
-    /// served from the incremental gate's memo because the lint-relevant
+    /// served from the gate's memo because the lint-relevant
     /// signature (structural hashes, noises, row count) was unchanged.
     pub relint_skipped: Counter,
 }

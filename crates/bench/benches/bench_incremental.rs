@@ -1,19 +1,19 @@
-//! Criterion benches for the incremental engine's delta-repair path.
+//! Criterion benches for the counting engine's delta-repair path.
 //!
 //! The `incremental_scan` group records the cost of answering a counting
 //! workload over a 1 000 000-row relation with ≤ 1 % of its rows mutated
 //! (6 000 inserted through delta segments, 2 000 tombstoned), two ways:
 //!
-//! * `delta_repair` — steady state of [`so_query::IncrementalEngine`]: each
-//!   iteration inserts one row and re-runs the workload, so only the open
-//!   tail delta (≤ 1 024 rows) is rescanned; every frozen segment is a
-//!   cache hit masked against its tombstones.
+//! * `delta_repair` — steady state of an owning [`so_query::CountingEngine`]:
+//!   each iteration inserts one row and re-runs the workload, so only the
+//!   open tail delta (≤ 1 024 rows) is rescanned; every frozen segment is
+//!   a cache hit masked against its tombstones.
 //! * `full_rescan` — the from-scratch baseline: the same workload executed
 //!   over an immutable rebuild of the identical logical relation with a
 //!   fresh node cache per iteration.
 //!
 //! Before timing, the incremental answers are asserted bit-identical to a
-//! [`so_query::CountingEngine`] run over the rebuilt relation — repair
+//! fresh engine run over the rebuilt one-segment relation — repair
 //! changes the cost of a scan, never its answer. Compaction is pushed out
 //! of reach (threshold 1 000) so the timing isolates repair, not one-time
 //! base rebuilds.
@@ -25,7 +25,7 @@ use so_data::{
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
 use so_plan::{NodeCache, ParallelExecutor, QueryPlan};
-use so_query::{CountingEngine, IncrementalEngine, QueryAuditor};
+use so_query::{CountingEngine, QueryAuditor};
 
 const N_ROWS: usize = 1_000_000;
 const N_INSERTS: usize = 6_000;
@@ -110,14 +110,14 @@ fn bench_incremental_scan(c: &mut Criterion) {
     let plan = QueryPlan::from_spec(&spec);
 
     // The from-scratch oracle every configuration must reproduce.
-    let mut oracle_eng = CountingEngine::new(&rebuilt, None);
+    let mut oracle_eng = CountingEngine::new(VersionedDataset::new(rebuilt.clone()), None);
     let oracle = oracle_eng.execute_workload(&spec).answers;
 
     for &threads in &[1usize, 8] {
         // Incremental: 1M-row base + ≤1% mutations through the versioned
         // path, caches warmed by one pre-timing execution.
         let data = VersionedDataset::with_compact_threshold(base_dataset(), 1_000);
-        let mut eng = IncrementalEngine::with_auditor(data, QueryAuditor::with_trail_cap(None, 64));
+        let mut eng = CountingEngine::with_auditor(data, QueryAuditor::with_trail_cap(None, 64));
         eng.set_threads(threads);
         let inserts: Vec<Vec<Value>> = (0..N_INSERTS).map(|i| row(N_ROWS + i)).collect();
         eng.insert_rows(&inserts);

@@ -5,7 +5,7 @@ use singling_out_core::game::DataModel;
 use so_bench::models::wide_tabular_model;
 use so_data::dist::RecordDistribution;
 use so_data::rng::seeded_rng;
-use so_data::{Dataset, DatasetBuilder, UniformBits};
+use so_data::{Dataset, DatasetBuilder, UniformBits, VersionedDataset};
 use so_query::{
     count_dataset, count_dataset_scalar, select_dataset, select_dataset_scalar, BoundedNoiseSum,
     CountingEngine, IntRangePredicate, KeyedHashPredicate, Predicate, QueryAuditor, SubsetQuery,
@@ -90,7 +90,8 @@ fn bench_engine_cached(c: &mut Criterion) {
         hi: 20_000,
     };
     // Disable trail retention: the bench loop issues millions of queries.
-    let mut engine = CountingEngine::with_auditor(&ds, QueryAuditor::without_trail(None));
+    let data = VersionedDataset::new(ds);
+    let mut engine = CountingEngine::with_auditor(&data, QueryAuditor::without_trail(None));
     engine.count(&pred); // warm the cache
     c.bench_function("counting_engine_cached_100k", |b| {
         b.iter(|| engine.count(&pred));

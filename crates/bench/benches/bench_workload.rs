@@ -14,7 +14,9 @@
 //! build of the form, each checked against the full bitmap path first.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
+use so_data::{
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
+};
 use so_plan::workload::{Noise, WorkloadSpec};
 use so_plan::{NodeCache, PlanOutcome, PredShape, QueryPlan};
 use so_query::predicate::{AllRowPredicate, IntRangePredicate, RowPredicate, ValueEqualsPredicate};
@@ -63,7 +65,8 @@ fn overlapping_queries(n_queries: usize) -> Vec<AllRowPredicate> {
 }
 
 fn bench_workload_planning(c: &mut Criterion) {
-    let ds = dataset(N_ROWS);
+    let data = VersionedDataset::new(dataset(N_ROWS));
+    let ds = data.segment(0);
     let queries = overlapping_queries(N_QUERIES);
 
     let mut group = c.benchmark_group("workload_planning");
@@ -75,7 +78,7 @@ fn bench_workload_planning(c: &mut Criterion) {
         b.iter(|| {
             queries
                 .iter()
-                .map(|p| p.scan(&ds).count_ones())
+                .map(|p| p.scan(ds).count_ones())
                 .sum::<usize>()
         });
     });
@@ -89,7 +92,7 @@ fn bench_workload_planning(c: &mut Criterion) {
             for p in &queries {
                 spec.push_predicate(p, Noise::Exact);
             }
-            let mut engine = CountingEngine::new(&ds, None);
+            let mut engine = CountingEngine::new(&data, None);
             engine.execute_workload(&spec).answers.len()
         });
     });
@@ -138,12 +141,13 @@ fn bench_distinct_rows(c: &mut Criterion) {
     let mut group = c.benchmark_group("distinct_rows");
     group.sample_size(10);
     for distinct in [90, cap, cap + 1] {
-        let ds = one_column(FORM_ROWS, distinct);
+        let data = VersionedDataset::new(one_column(FORM_ROWS, distinct));
+        let ds = data.segment(0);
         let spec = eight_ranges(FORM_ROWS, distinct);
         // The full bitmap path is the oracle.
         let plan = QueryPlan::from_spec(&spec);
-        let (oracle, _) = plan.execute(spec.pool(), &ds, spec.evaluators(), &mut NodeCache::new());
-        let answers = CountingEngine::new(&ds, None)
+        let (oracle, _) = plan.execute(spec.pool(), ds, spec.evaluators(), &mut NodeCache::new());
+        let answers = CountingEngine::new(&data, None)
             .execute_workload(&spec)
             .answers;
         for (a, o) in answers.iter().zip(&oracle) {
@@ -157,7 +161,7 @@ fn bench_distinct_rows(c: &mut Criterion) {
         // built on the dataset.
         group.bench_function(format!("8_ranges_1m_rows_{distinct}_distinct"), |b| {
             b.iter(|| {
-                let mut engine = CountingEngine::new(&ds, None);
+                let mut engine = CountingEngine::new(&data, None);
                 engine.execute_workload(&spec).answers.len()
             });
         });

@@ -10,13 +10,15 @@
 //! lint verdict refuses a flagged workload before answering a single query
 //! (one citable refusal per offending query index), while the honest
 //! workload flows through the whole-workload planner untouched —
-//! `GatedEngine::execute` runs the identical plan the linter saw.
+//! `IncrementalGate::execute` runs the identical plan the linter saw.
 
 use so_analyze::{
-    lint_workload, GatedEngine, LintConfig, LintId, LintReport, Noise, Severity, WorkloadSpec,
+    lint_workload, IncrementalGate, LintConfig, LintId, LintReport, Noise, Severity, WorkloadSpec,
 };
 use so_data::rng::seeded_rng;
-use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
+use so_data::{
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
+};
 use so_plan::shape::PredShape;
 use so_query::predicate::{
     AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
@@ -260,17 +262,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ("honest cross-tab / exact", honest_crosstab(data.n_rows()).1),
     ];
     for (label, w) in runs {
-        let mut gated = GatedEngine::new(CountingEngine::new(&data, None), w, &cfg);
-        let _ = gated.execute();
-        let reason = gated
-            .report()
+        let engine = CountingEngine::new(VersionedDataset::new(data.clone()), None);
+        let mut gated = IncrementalGate::new(engine, cfg.clone());
+        let _ = gated.execute(w);
+        let report = gated.report().expect("a workload ran");
+        let reason = report
             .findings
             .iter()
             .find(|f| f.severity == Severity::Deny)
             .map_or("-".to_owned(), |f| f.lint.code().to_owned());
         t2.row(vec![
             label.to_owned(),
-            if gated.is_open() { "open" } else { "closed" }.to_owned(),
+            if report.denies() { "closed" } else { "open" }.to_owned(),
             reason,
             gated.engine().auditor().queries_answered().to_string(),
             gated.engine().auditor().queries_refused().to_string(),

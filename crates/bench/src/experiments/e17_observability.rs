@@ -26,7 +26,9 @@
 use std::time::Instant;
 
 use so_data::rng::seeded_rng;
-use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
+use so_data::{
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
+};
 use so_dp::{ContinualAccountant, LaplaceCount};
 use so_query::{BoundedNoiseSum, CountingEngine};
 use so_recon::{lp_reconstruct, reconstruction_accuracy};
@@ -163,7 +165,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let (_preds, spec) = honest_crosstab(rows);
     let before = RegistrySnapshot::take();
     let t0 = Instant::now();
-    let mut engine = CountingEngine::new(&ds, None);
+    let mut engine = CountingEngine::new(VersionedDataset::new(ds), None);
     let first = engine.execute_workload(&spec);
     let replay = engine.execute_workload(&spec);
     let plan_ms = t0.elapsed().as_secs_f64() * 1e3;

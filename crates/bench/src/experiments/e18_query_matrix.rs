@@ -22,8 +22,12 @@
 //! singleton cell count. Only the rational-rank fallback of `SO-LINREC`
 //! (and the row-span witness of `SO-COVER`) can refuse it.
 
-use so_analyze::{lint_workload, GatedEngine, LintConfig, LintId, LintReport, Noise, WorkloadSpec};
-use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
+use so_analyze::{
+    lint_workload, IncrementalGate, LintConfig, LintId, LintReport, Noise, WorkloadSpec,
+};
+use so_data::{
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
+};
 use so_plan::ir::Atom;
 use so_query::predicate::{AllRowPredicate, RowPredicate, ValueEqualsPredicate};
 use so_query::query::SubsetQuery;
@@ -304,9 +308,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for (label, w) in runs {
         // Subset workloads carry their own n; the engine only executes
         // admitted (predicate) workloads, so the dataset arity is safe.
-        let mut gated = GatedEngine::new(CountingEngine::new(&data, None), w, &cfg);
-        let _ = gated.execute();
-        let report = gated.report();
+        let engine = CountingEngine::new(VersionedDataset::new(data.clone()), None);
+        let mut gated = IncrementalGate::new(engine, cfg.clone());
+        let _ = gated.execute(w);
+        let report = gated.report().expect("a workload ran");
         let code = report
             .findings
             .iter()
@@ -321,7 +326,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let idx: Vec<String> = offending.iter().map(usize::to_string).collect();
         t2.row(vec![
             label.to_owned(),
-            if gated.is_open() { "open" } else { "closed" }.to_owned(),
+            if report.denies() { "closed" } else { "open" }.to_owned(),
             code,
             if idx.is_empty() {
                 "-".to_owned()

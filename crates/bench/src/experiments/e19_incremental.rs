@@ -1,5 +1,5 @@
 //! E19 — incremental engine: a checked-in mutation transcript replayed
-//! through [`so_query::IncrementalEngine`], the repair economics of
+//! through an owning [`so_query::CountingEngine`], the repair economics of
 //! delta-segment caches versus from-scratch rebuilds, and the
 //! [`so_analyze::IncrementalGate`]'s continual-release ε accounting and
 //! lint memo across dataset versions.
@@ -19,7 +19,7 @@ use so_dp::ContinualAccountant;
 use so_plan::parallel::ParallelExecutor;
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
-use so_query::{IncrementalEngine, MutationOp, MutationTranscript, ReplayConfig, WorkloadAnswer};
+use so_query::{CountingEngine, MutationOp, MutationTranscript, ReplayConfig, WorkloadAnswer};
 
 use crate::{Scale, Table};
 
@@ -196,13 +196,13 @@ fn tracker_workload(n_rows: usize) -> WorkloadSpec {
 }
 
 /// Builds the gated relation for the accountant / memo tables.
-fn gate_engine(n_rows: usize) -> IncrementalEngine {
+fn gate_engine(n_rows: usize) -> CountingEngine<VersionedDataset> {
     let mut b = DatasetBuilder::new(schema());
     for i in 0..n_rows {
         b.push_row(row(i));
     }
     let ds = b.finish();
-    IncrementalEngine::new(VersionedDataset::new(ds), None)
+    CountingEngine::new(VersionedDataset::new(ds), None)
 }
 
 /// Table E19.1+2: replay the transcript under the env-selected

@@ -257,18 +257,6 @@ pub fn reconstruct_counts_only(
     run_search(race_sex_band, i64::MIN / 2, i64::MAX / 2, None, budget)
 }
 
-/// Core entry: reconstruct subject to band cell counts, an age-sum
-/// interval, and an optional exact median.
-pub fn reconstruct_with_constraints(
-    race_sex_band: &[[[usize; N_BANDS]; 2]; 5],
-    sum_lo: i64,
-    sum_hi: i64,
-    median: Option<f64>,
-    budget: &SolverBudget,
-) -> ReconOutcome {
-    run_search(race_sex_band, sum_lo, sum_hi, median, budget)
-}
-
 fn run_search(
     race_sex_band: &[[[usize; N_BANDS]; 2]; 5],
     sum_lo: i64,

@@ -37,13 +37,6 @@ pub fn baseline_isolation_probability(n: usize, w: f64) -> f64 {
     n as f64 * w * (1.0 - w).powi(n as i32 - 1)
 }
 
-/// The weight maximizing the baseline: `w* = 1/n`, giving
-/// `(1 − 1/n)^{n−1} → 1/e ≈ 36.8%`.
-pub fn optimal_baseline_weight(n: usize) -> f64 {
-    assert!(n > 0);
-    1.0 / n as f64
-}
-
 /// A keyed-hash predicate of designed weight `1/modulus` over generic
 /// records, given a serialization function — the Leftover-Hash-Lemma-style
 /// construction the paper invokes for building trivial attackers at any

@@ -239,7 +239,7 @@ impl BitVec {
     /// Number of positions set in `self` but **not** in `mask` — the
     /// word-parallel popcount of `self ∧ ¬mask`, computed without allocating
     /// an intermediate vector. This is the tombstone-mask merge step of the
-    /// incremental engine: a cached segment selection popcounted against the
+    /// counting engine: a cached segment selection popcounted against the
     /// segment's tombstones yields the live match count directly.
     ///
     /// Because `self`'s tail bits beyond `len` are always zero, negating

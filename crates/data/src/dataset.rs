@@ -37,13 +37,13 @@ enum ColumnData {
 }
 
 impl ColumnData {
-    fn new(dtype: DataType) -> Self {
+    fn with_capacity(dtype: DataType, rows: usize) -> Self {
         match dtype {
-            DataType::Int => ColumnData::Int(Vec::new()),
-            DataType::Float => ColumnData::Float(Vec::new()),
-            DataType::Str => ColumnData::Str(Vec::new()),
-            DataType::Bool => ColumnData::Bool(Vec::new()),
-            DataType::Date => ColumnData::Date(Vec::new()),
+            DataType::Int => ColumnData::Int(Vec::with_capacity(rows)),
+            DataType::Float => ColumnData::Float(Vec::with_capacity(rows)),
+            DataType::Str => ColumnData::Str(Vec::with_capacity(rows)),
+            DataType::Bool => ColumnData::Bool(Vec::with_capacity(rows)),
+            DataType::Date => ColumnData::Date(Vec::with_capacity(rows)),
         }
     }
 
@@ -141,10 +141,10 @@ pub struct Column {
 }
 
 impl Column {
-    fn new(dtype: DataType) -> Self {
+    fn with_capacity(dtype: DataType, rows: usize) -> Self {
         Column {
-            data: ColumnData::new(dtype),
-            missing: Vec::new(),
+            data: ColumnData::with_capacity(dtype, rows),
+            missing: Vec::with_capacity(rows),
         }
     }
 
@@ -250,8 +250,8 @@ impl Column {
 ///
 /// Scans read the typed column slices directly. Datasets are immutable once
 /// built except for [`Dataset::append_rows`], the mutation primitive behind
-/// the incremental engine's open delta segment. Every append bumps
-/// [`Dataset::version`], the staleness key of the incremental engine's
+/// a versioned dataset's open delta segment. Every append bumps
+/// [`Dataset::version`], the staleness key of the counting engine's
 /// per-segment caches.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -431,7 +431,7 @@ impl Dataset {
 
     /// Monotone content version: 0 when built, bumped by every
     /// [`Dataset::append_rows`]. Caches keyed on `(dataset identity,
-    /// version)` — the incremental engine's per-segment selection caches —
+    /// version)` — the counting engine's per-segment selection caches —
     /// use this to detect staleness.
     pub fn version(&self) -> u64 {
         self.version
@@ -513,8 +513,8 @@ impl Dataset {
         })
     }
 
-    /// Appends rows in place — the mutation primitive behind the
-    /// incremental engine's open delta segment.
+    /// Appends rows in place — the mutation primitive behind a versioned
+    /// dataset's open delta segment.
     ///
     /// Bumps [`Dataset::version`] and drops the distinct-row form. Clones
     /// taken before the append keep their own rows, version and form, so
@@ -566,7 +566,7 @@ impl Dataset {
                 .schema
                 .attrs()
                 .iter()
-                .map(|a| Column::new(a.dtype))
+                .map(|a| Column::with_capacity(a.dtype, 0))
                 .collect(),
             n_rows: 0,
             version: 0,
@@ -668,17 +668,28 @@ pub struct DatasetBuilder {
 impl DatasetBuilder {
     /// Starts an empty dataset over `schema`.
     pub fn new(schema: Arc<Schema>) -> Self {
-        Self::from_parts(schema, Interner::new())
+        Self::with_capacity(schema, 0)
+    }
+
+    /// Starts an empty dataset over `schema` with room for `rows` rows, so
+    /// a builder that knows its size allocates each column once instead of
+    /// growing it by doubling (which leaves a fragmented heap behind).
+    pub fn with_capacity(schema: Arc<Schema>, rows: usize) -> Self {
+        Self::start(schema, Interner::new(), rows)
     }
 
     /// Starts from an existing interner (used when deriving datasets).
-    pub fn from_parts(schema: Arc<Schema>, mut interner: Interner) -> Self {
+    pub fn from_parts(schema: Arc<Schema>, interner: Interner) -> Self {
+        Self::start(schema, interner, 0)
+    }
+
+    fn start(schema: Arc<Schema>, mut interner: Interner, rows: usize) -> Self {
         // Index 0 is reserved as the placeholder for missing Str cells.
         interner.intern("");
         let columns = schema
             .attrs()
             .iter()
-            .map(|a| Column::new(a.dtype))
+            .map(|a| Column::with_capacity(a.dtype, rows))
             .collect();
         DatasetBuilder {
             schema,
@@ -927,6 +938,28 @@ mod tests {
         assert_eq!(before.column(1).len(), 4);
         assert_eq!(ds.n_rows(), 5);
         assert_eq!(ds.version(), 1);
+    }
+
+    #[test]
+    fn presized_builder_matches_a_growing_one() {
+        let build = |mut b: DatasetBuilder| {
+            let s = b.intern("x");
+            for i in 0..100 {
+                b.push_row(vec![
+                    Value::Int(i),
+                    Value::Int(i % 7),
+                    Value::Str(s),
+                    Value::Missing,
+                ]);
+            }
+            b.finish()
+        };
+        let grown = build(DatasetBuilder::new(toy_schema()));
+        let sized = build(DatasetBuilder::with_capacity(toy_schema(), 100));
+        assert_eq!(sized.n_rows(), 100);
+        for r in 0..100 {
+            assert_eq!(sized.row_values(r), grown.row_values(r));
+        }
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl ProductBernoulli {
         ProductBernoulli { probs }
     }
 
-    /// Uniform p for every one of `width` bits.
-    pub fn uniform_p(width: usize, p: f64) -> Self {
-        Self::new(vec![p; width])
-    }
-
     /// Record width in bits.
     pub fn width(&self) -> usize {
         self.probs.len()

@@ -40,7 +40,6 @@ pub mod population;
 pub mod ratings;
 pub mod rng;
 pub mod schema;
-pub mod sharded;
 pub mod value;
 pub mod versioned;
 
@@ -55,7 +54,6 @@ pub use obs::{delta_metrics, DeltaMetrics};
 pub use population::{Population, PopulationConfig};
 pub use ratings::{RatingsConfig, RatingsData};
 pub use schema::{AttributeDef, AttributeRole, DataType, Schema};
-pub use sharded::word_aligned_ranges;
 pub use value::Value;
 pub use versioned::{
     compact_threshold_from_env, MutationEffect, VersionedDataset, DEFAULT_COMPACT_THRESHOLD,

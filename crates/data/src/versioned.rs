@@ -91,6 +91,9 @@ pub struct VersionedDataset {
     /// Tombstone bitmaps, index 0 for the base, `1 + i` for delta `i`.
     /// Always sized to the owning segment's current row count.
     tombs: Vec<BitVec>,
+    /// Set bits of each tombstone bitmap, kept so live counts (and the
+    /// engine's per-request "any tombstones?" check) cost no popcount.
+    dead: Vec<usize>,
     /// Per-delta touched-column sets: column `c` is present iff some row of
     /// that delta carries a non-missing cell in `c`. The base has no entry
     /// (every column counts as touched there).
@@ -120,6 +123,7 @@ impl VersionedDataset {
             base,
             deltas: Vec::new(),
             tombs: vec![BitVec::zeros(n)],
+            dead: vec![0],
             touched: Vec::new(),
             version: 0,
             base_epoch: 0,
@@ -171,7 +175,7 @@ impl VersionedDataset {
     /// The touched-column set of segment `i`: `None` for the base (every
     /// column counts as touched), `Some` for a delta — a column absent
     /// from the set holds [`Value::Missing`] in **every** row of that
-    /// segment, which is what lets the incremental engine synthesize atom
+    /// segment, which is what lets the counting engine synthesize atom
     /// selections there without scanning.
     ///
     /// # Panics
@@ -187,7 +191,7 @@ impl VersionedDataset {
 
     /// Rows alive in segment `i` (segment rows minus its tombstones).
     pub fn live_in_segment(&self, i: usize) -> usize {
-        self.segment(i).n_rows() - self.tombs[i].count_ones()
+        self.segment(i).n_rows() - self.dead[i]
     }
 
     /// Total live rows across all segments — the `n` of the current
@@ -250,6 +254,7 @@ impl VersionedDataset {
         if tail_frozen {
             self.deltas.push(self.base.empty_like());
             self.tombs.push(BitVec::zeros(0));
+            self.dead.push(0);
             self.touched.push(BTreeSet::new());
         }
         let tail = self.deltas.len() - 1;
@@ -307,6 +312,7 @@ impl VersionedDataset {
         let deleted = targets.len();
         for (seg, row) in targets {
             self.tombs[seg].set(row, true);
+            self.dead[seg] += 1;
         }
         self.version += 1;
         crate::obs::delta_metrics().rows_deleted.add(deleted as u64);
@@ -323,7 +329,7 @@ impl VersionedDataset {
 
     /// Materializes the live rows of the current version as one plain
     /// [`Dataset`] (live ordering, shared schema/interner/engine) — the
-    /// from-scratch oracle the incremental engine is checked against, and
+    /// from-scratch oracle the counting engine is checked against, and
     /// the gather step of compaction.
     pub fn snapshot(&self) -> Dataset {
         let live_base: Vec<usize> = (0..self.base.n_rows())
@@ -346,7 +352,7 @@ impl VersionedDataset {
         if self.deltas.len() < self.compact_threshold {
             return false;
         }
-        let dropped: usize = self.tombs.iter().map(BitVec::count_ones).sum();
+        let dropped: usize = self.dead.iter().sum();
         let fresh = self.snapshot();
         let m = crate::obs::delta_metrics();
         m.compaction_runs.inc();
@@ -357,6 +363,7 @@ impl VersionedDataset {
         self.deltas.clear();
         self.touched.clear();
         self.tombs = vec![BitVec::zeros(n)];
+        self.dead = vec![0];
         self.base_epoch += 1;
         true
     }

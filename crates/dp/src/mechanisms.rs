@@ -47,18 +47,6 @@ impl LaplaceCount {
         true_count as f64 + sample_laplace(1.0 / self.epsilon, rng)
     }
 
-    /// Releases a noisy count for a query of sensitivity `delta` (e.g. a sum
-    /// of values bounded by `delta`).
-    pub fn release_with_sensitivity<R: Rng + ?Sized>(
-        &self,
-        true_value: f64,
-        delta: f64,
-        rng: &mut R,
-    ) -> f64 {
-        assert!(delta > 0.0 && delta.is_finite(), "bad sensitivity {delta}");
-        true_value + sample_laplace(delta / self.epsilon, rng)
-    }
-
     /// Expected absolute error of a release: `E|Lap(1/ε)| = 1/ε`.
     pub fn expected_absolute_error(&self) -> f64 {
         1.0 / self.epsilon

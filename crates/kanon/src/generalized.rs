@@ -200,11 +200,6 @@ impl AnonymizedDataset {
     }
 }
 
-/// Equality key for generalized QI tuples (hashable view).
-pub fn box_key(qi_box: &[GenValue]) -> Vec<GenValue> {
-    qi_box.to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,12 +21,14 @@
 //! evaluation schedule; no explicit topological sort is needed.
 //!
 //! A plan does not care which relation it runs over. `so-query`'s
-//! `CountingEngine` executes plans with no opaque atom against a dataset's
-//! weighted distinct-row form ([`so_data::Dataset::distinct_rows`]) when it
-//! has one, with a node cache of its own, and weighs each target's bitmap by
-//! row multiplicity ([`BitVec::weighted_count`]); the popcounts
-//! [`QueryPlan::execute`] returns then count distinct rows, and
-//! [`PlanStats`] counts scans of the form.
+//! `CountingEngine` executes one plan per segment of a versioned dataset,
+//! with node caches per segment. On a segment with a weighted distinct-row
+//! form ([`so_data::Dataset::distinct_rows`]) and no tombstones, plans with
+//! no opaque atom run against the form, with a node cache of its own, and
+//! each target's bitmap is weighed by row multiplicity
+//! ([`BitVec::weighted_count`]); the popcounts [`QueryPlan::execute`]
+//! returns then count distinct rows, and [`PlanStats`] counts scans of the
+//! form.
 
 use std::collections::HashMap;
 use std::sync::Arc;

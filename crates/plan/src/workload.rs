@@ -7,9 +7,10 @@
 //! canonical IR of [`crate::ir`], so structurally equal predicates share an
 //! id and refinement relationships are visible symbolically.
 //!
-//! The same spec then drives execution: `so-analyze` lints it, and
-//! `so-query`'s `CountingEngine::execute_workload` compiles it into a
-//! [`crate::plan::QueryPlan`] and answers it with bitmap kernels. Closure
+//! The same spec then drives execution: `so-analyze`'s gate lints it, and
+//! `so-query`'s `CountingEngine::execute_workload` compiles it into one
+//! [`crate::plan::QueryPlan`] and answers it with bitmap kernels, run once
+//! per segment of the engine's versioned dataset. Closure
 //! predicates that cannot expose structure are carried as *registered
 //! evaluators* ([`WorkloadSpec::push_predicate_arc`]) keyed by their opaque
 //! id, so the planner can still execute them (as whole-predicate scans)
@@ -91,8 +92,8 @@ pub struct QuerySpec {
     pub noise: Noise,
 }
 
-/// A declared workload over a dataset of `n_rows` records: the one object
-/// that flows through `so-analyze`'s `lint_workload` *and*
+/// A declared workload over a dataset of `n_rows` (live) records: the one
+/// object that flows through `so-analyze`'s `lint_workload` *and*
 /// `so-query`'s `CountingEngine::execute_workload`.
 pub struct WorkloadSpec {
     n_rows: usize,

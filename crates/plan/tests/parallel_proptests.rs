@@ -108,7 +108,7 @@ proptest! {
         max_shards in 1usize..9,
     ) {
         let full = BitVec::from_fn(bits.len(), |i| bits[i]);
-        let ranges = so_data::word_aligned_ranges(bits.len(), max_shards);
+        let ranges = so_plan::parallel::word_aligned_ranges(bits.len(), max_shards);
         let merged = BitVec::concat_aligned(
             ranges.iter().map(|r| full.slice_aligned(r.clone())),
         );

@@ -23,11 +23,13 @@
 //! workload specs, and the bitmap kernels — lives below this crate in
 //! `so-plan`; the historical `so_query` paths for those items re-export it.
 //! [`CountingEngine`] executes single queries and whole workloads
-//! ([`CountingEngine::execute_workload`]) through that one pipeline.
+//! ([`CountingEngine::execute_workload`]) through that one pipeline, over a
+//! [`so_data::VersionedDataset`]: one segment for immutable data, or a
+//! base plus delta segments plus tombstones for mutable data, with
+//! per-segment caches that survive mutation.
 
 pub mod audit;
 pub mod engine;
-pub mod incremental;
 pub mod mechanism;
 pub mod obs;
 pub mod predicate;
@@ -38,9 +40,8 @@ pub mod workload;
 pub use audit::{AuditRecord, QueryAuditor};
 pub use engine::{
     count_dataset, count_dataset_scalar, scan_dataset, select_dataset, select_dataset_scalar,
-    CountingEngine, WorkloadAnswer, WorkloadAnswers,
+    CountingEngine, IncrementalStats, WorkloadAnswer, WorkloadAnswers,
 };
-pub use incremental::{IncrementalEngine, IncrementalStats};
 pub use mechanism::{BoundedNoiseSum, ExactSum, RoundingSum, SubsetSumMechanism};
 pub use obs::{query_metrics, QueryMetrics};
 pub use predicate::{

@@ -34,13 +34,12 @@ pub struct QueryMetrics {
     /// `so_query_audit_trail_len` — retained trail depth of the most
     /// recently updated auditor (last writer wins across auditors).
     pub audit_trail_len: Gauge,
-    /// `so_query_delta_repairs_total` — segment caches rebuilt by the
-    /// incremental engine because the segment's dataset version moved
+    /// `so_query_delta_repairs_total` — segment caches rebuilt by a
+    /// counting engine because the segment's dataset version moved
     /// (delta-scan repair), including first-time builds.
     pub delta_repairs: Counter,
     /// `so_query_delta_hits_total` — segments served from a warm cache
-    /// (version unchanged since the last workload) by the incremental
-    /// engine.
+    /// (version unchanged since the last workload) by a counting engine.
     pub delta_segment_hits: Counter,
     /// `so_query_shortcut_atoms_total` — atom selections synthesized from a
     /// delta segment's touched-column set instead of scanned.

@@ -1,5 +1,5 @@
 //! Mutation transcripts: replayable interleavings of inserts, deletes, and
-//! workloads against an [`IncrementalEngine`].
+//! workloads against an owning [`CountingEngine`].
 //!
 //! A [`MutationTranscript`] is pure data — a starting relation plus an
 //! ordered op list — and [`MutationTranscript::replay`] is a pure function
@@ -26,8 +26,7 @@ use so_data::{Dataset, DatasetBuilder, Schema, Value, VersionedDataset};
 use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
 
-use crate::engine::{CountingEngine, WorkloadAnswer};
-use crate::incremental::{IncrementalEngine, IncrementalStats};
+use crate::engine::{CountingEngine, IncrementalStats, WorkloadAnswer};
 
 /// One step of a mutation transcript.
 #[derive(Debug, Clone)]
@@ -103,11 +102,11 @@ pub struct ReplayOutcome {
 }
 
 impl MutationTranscript {
-    /// Replays the transcript through an [`IncrementalEngine`] under an
+    /// Replays the transcript through an owning [`CountingEngine`] under an
     /// explicit configuration.
     pub fn replay(&self, cfg: &ReplayConfig) -> ReplayOutcome {
         let ds = self.build_initial();
-        let mut eng = IncrementalEngine::new(
+        let mut eng = CountingEngine::new(
             VersionedDataset::with_compact_threshold(ds, cfg.compact_threshold),
             None,
         );
@@ -159,7 +158,7 @@ impl MutationTranscript {
                 }
             }
         }
-        let stats = eng.stats();
+        let stats = eng.incremental_stats();
         let _ = writeln!(
             log,
             "final v{} ({} live); repairs={} hits={} shortcut_atoms={} compactions={}",
@@ -181,9 +180,9 @@ impl MutationTranscript {
 
     /// The from-scratch oracle: maintains the logical live relation as a
     /// plain row vector, and answers each workload by rebuilding an
-    /// immutable [`Dataset`] of the current live rows and executing the
-    /// workload through [`CountingEngine`]. Shares no code with the
-    /// incremental path beyond the scan kernels themselves.
+    /// one-segment dataset of the current live rows and executing the
+    /// workload through a fresh [`CountingEngine`]. Shares no segment,
+    /// tombstone or cache state with the replayed engine.
     pub fn oracle_answers(&self) -> Vec<Vec<WorkloadAnswer>> {
         let mut live: Vec<Vec<Value>> = self.initial.clone();
         let mut answers = Vec::new();
@@ -207,7 +206,7 @@ impl MutationTranscript {
                     }
                     let ds = b.finish();
                     let spec = build_workload(ds.n_rows(), shapes, *noise);
-                    let mut eng = CountingEngine::new(&ds, None);
+                    let mut eng = CountingEngine::new(VersionedDataset::new(ds), None);
                     answers.push(eng.execute_workload(&spec).answers);
                 }
             }

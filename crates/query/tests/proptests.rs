@@ -207,6 +207,7 @@ proptest! {
 
 use std::sync::Arc;
 
+use so_data::VersionedDataset;
 use so_plan::workload::{Noise, WorkloadSpec};
 use so_query::{CountingEngine, FnRowPredicate, NotRowPredicate, WorkloadAnswer};
 
@@ -304,7 +305,7 @@ proptest! {
                 }
             }
         }
-        let mut engine = CountingEngine::new(&ds, None);
+        let mut engine = CountingEngine::new(VersionedDataset::new(ds.clone()), None);
         let out = engine.execute_workload(&spec);
         prop_assert_eq!(out.answers.len(), preds.len());
         for (i, (p, answer)) in preds.iter().zip(&out.answers).enumerate() {
@@ -356,10 +357,11 @@ proptest! {
                 }
             }
         }
-        let mut serial = CountingEngine::new(&ds, None);
+        let data = VersionedDataset::new(ds.clone());
+        let mut serial = CountingEngine::new(&data, None);
         serial.set_threads(1);
         let a = serial.execute_workload(&spec);
-        let mut parallel = CountingEngine::new(&ds, None);
+        let mut parallel = CountingEngine::new(&data, None);
         parallel.set_threads(threads);
         prop_assert_eq!(parallel.threads(), threads);
         let b = parallel.execute_workload(&spec);

@@ -499,17 +499,19 @@ impl<'a> Parser<'a> {
     }
 
     /// Reads a string, borrowed from the input when it holds no escapes.
+    /// As RFC 8259 requires, a control byte (below 0x20) is accepted only
+    /// as an escape.
     pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        // Copy whole runs up to the next quote or backslash. Both are
-        // ASCII, so a run ends on a char boundary of the (already valid
-        // UTF-8) input.
+        // Copy whole runs up to the next quote, backslash or control byte.
+        // All are ASCII, so a run ends on a char boundary of the (already
+        // valid UTF-8) input.
         let run_end = |p: &Self| {
             let rest = &p.bytes[p.pos..];
             p.pos
                 + rest
                     .iter()
-                    .position(|&b| b == b'"' || b == b'\\')
+                    .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                     .unwrap_or(rest.len())
         };
         let start = self.pos;
@@ -542,6 +544,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => return Err(self.err("unescaped control byte in string")),
                 Some(_) => {
                     let end = run_end(self);
                     out.push_str(&self.text[self.pos..end]);
@@ -581,9 +584,11 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// Reads a number. A token of an optional `-` and at most 15 digits is
-    /// exact in `f64` and is accumulated directly; every other token goes
-    /// through `str::parse`.
+    /// Reads a number in RFC 8259's grammar: an optional `-`, then `0` or
+    /// a digit run without a leading zero, then optionally `.` and digits,
+    /// then optionally `e`/`E`, a sign and digits. A token of an optional
+    /// `-` and at most 15 digits is exact in `f64` and is accumulated
+    /// directly; every other token goes through `str::parse`.
     pub(crate) fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
@@ -597,17 +602,25 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let n_digits = self.pos - digits;
-        if n_digits == 0 && !negative {
+        if n_digits == 0 {
             return Err(self.err("expected a number"));
         }
-        let tail = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
+        if n_digits > 1 && self.bytes[digits] == b'0' {
+            return Err(self.err("leading zero in a number"));
         }
-        if self.pos == tail && (1..=15).contains(&n_digits) {
+        let int_end = self.pos;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("a digit after '.'")?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("a digit in the exponent")?;
+        }
+        if self.pos == int_end && n_digits <= 15 {
             // Negating keeps `-0` as −0.0, as `str::parse` does.
             let v = m as f64;
             return Ok(if negative { -v } else { v });
@@ -620,6 +633,18 @@ impl<'a> Parser<'a> {
             return Err(self.err("number out of range"));
         }
         Ok(v)
+    }
+
+    /// Consumes a run of at least one digit.
+    fn digits(&mut self, expected: &str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(&format!("expected {expected}")));
+        }
+        Ok(())
     }
 }
 
@@ -650,6 +675,17 @@ mod tests {
     }
 
     #[test]
+    fn control_bytes_only_as_escapes() {
+        for c in ['\u{0}', '\n', '\t', '\u{1f}'] {
+            let raw = format!("\"a{c}b\"");
+            assert!(parse(&raw).is_err(), "raw {c:?} must be rejected");
+            let escaped = Json::str(&format!("a{c}b")).render();
+            assert_eq!(parse(&escaped).unwrap(), Json::str(&format!("a{c}b")));
+        }
+        assert_eq!(parse("\"\u{7f}é\"").unwrap(), Json::str("\u{7f}é"));
+    }
+
+    #[test]
     fn escapes_roundtrip() {
         let v = Json::str("line\nquote\" slash\\ tab\t");
         let rendered = v.render();
@@ -660,7 +696,7 @@ mod tests {
     #[test]
     fn number_edges_parse_and_render() {
         // (input, parsed value, canonical rendering)
-        let cases: [(&str, f64, &str); 12] = [
+        let cases: [(&str, f64, &str); 11] = [
             ("999999999999999", 999_999_999_999_999.0, "999999999999999"),
             (
                 "-999999999999999",
@@ -686,14 +722,21 @@ mod tests {
             ),
             ("0.1", 0.1, "0.1"),
             ("1e-7", 1e-7, "0.0000001"),
-            ("01", 1.0, "1"),
-            ("1.", 1.0, "1"),
             ("2.0", 2.0, "2"),
+            ("-0.5E+2", -50.0, "-50"),
         ];
         for (text, want, canon) in cases {
             let v = parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_eq!(v, Json::Num(want), "{text}");
             assert_eq!(v.render(), canon, "{text}");
+        }
+        // RFC 8259 spellings only: no leading zero, a digit after `.` and
+        // in the exponent, no `+` or bare `-`.
+        for text in [
+            "01", "1.", "-01", "00", "-", "-.5", ".5", "+1", "1e", "1e+", "1.e1", "--1", "1.5.2",
+            "0x10",
+        ] {
+            assert!(parse(text).is_err(), "{text:?} must be rejected");
         }
         // −0 keeps its sign through the exact fast path, like `str::parse`.
         for text in ["-0", "-0.0"] {

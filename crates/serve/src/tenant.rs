@@ -2,9 +2,10 @@
 //!
 //! A tenant is one isolated statistical-query surface. Each holds
 //!
-//! * a tabular [`Dataset`] (for counting queries) and a secret bit column
-//!   (for subset-sum queries) — both derived deterministically from the
-//!   tenant seed;
+//! * a tabular relation for counting queries (a one-segment
+//!   [`VersionedDataset`] it never mutates) and a secret bit column for
+//!   subset-sum queries — both derived deterministically from the tenant
+//!   seed;
 //! * a gate policy: an *ungated* tenant answers any well-formed workload
 //!   (the vulnerable production API of the reconstruction literature); a
 //!   *gated* tenant lints every workload with [`lint_workload`] first;
@@ -13,9 +14,9 @@
 //! * a [`TokenBucket`] rate limit and a bounded [`QueryAuditor`] trail.
 //!
 //! The verdict is [`Admission::decide`], the same admission path as
-//! [`so_analyze::GatedEngine`] and [`so_analyze::IncrementalGate`], and the
-//! trail holds the same [`Refusal::audit_line`]s, so a wire refusal is as
-//! citable as an in-process one.
+//! [`so_analyze::IncrementalGate`], and the trail holds the same
+//! [`Refusal::audit_line`]s, so a wire refusal is as citable as an
+//! in-process one.
 //!
 //! Tenants never share mutable state: a panic while serving one tenant (the
 //! worker catches it) cannot corrupt another tenant's accountant or bucket.
@@ -27,7 +28,7 @@ use so_analyze::admission::{self, Admission, Refusal};
 use so_analyze::lint::{lint_workload, LintConfig, LintReport};
 use so_data::rng::{derive_seed, seeded_rng};
 use so_data::{
-    AttributeDef, AttributeRole, BitVec, DataType, Dataset, DatasetBuilder, Schema, Value,
+    AttributeDef, AttributeRole, BitVec, DataType, DatasetBuilder, Schema, Value, VersionedDataset,
 };
 use so_dp::{sample_laplace, ContinualAccountant};
 use so_plan::shape::PredShape;
@@ -127,7 +128,7 @@ pub enum WorkloadOutcome {
 /// One tenant's live state.
 pub struct Tenant {
     config: TenantConfig,
-    dataset: Dataset,
+    data: VersionedDataset,
     secret: BitVec,
     admission: Admission,
     noise_rng: StdRng,
@@ -149,11 +150,11 @@ impl Tenant {
             AttributeRole::QuasiIdentifier,
         )]);
         let mut rows = seeded_rng(derive_seed(config.seed, 0));
-        let mut b = DatasetBuilder::new(schema);
+        let mut b = DatasetBuilder::with_capacity(schema, config.n_rows);
         for _ in 0..config.n_rows {
             b.push_row(vec![Value::Int(rows.gen_range(0..90))]);
         }
-        let dataset = b.finish();
+        let data = VersionedDataset::new(b.finish());
         let mut secret_rng = seeded_rng(derive_seed(config.seed, 1));
         let mut secret = BitVec::zeros(config.n_rows);
         for i in 0..config.n_rows {
@@ -168,7 +169,7 @@ impl Tenant {
         };
         Tenant {
             config,
-            dataset,
+            data,
             secret,
             admission,
             noise_rng,
@@ -309,7 +310,7 @@ impl Tenant {
     /// the tenant's seeded stream — in declaration order, so the noise
     /// consumed per answer is deterministic.
     fn answer(&mut self, spec: &WorkloadSpec) -> Vec<f64> {
-        let mut engine = CountingEngine::new(&self.dataset, None);
+        let mut engine = CountingEngine::new(&self.data, None);
         let executed = engine.execute_workload(spec);
         let n = self.config.n_rows as u64;
         let subset_queries = spec
@@ -354,7 +355,7 @@ impl Tenant {
     /// indices and column references.
     fn build_spec(&self, queries: &[WireQuery], noise: Noise) -> Result<WorkloadSpec, ProtoError> {
         let n = self.config.n_rows;
-        let n_cols = self.dataset.schema().len();
+        let n_cols = self.data.segment(0).schema().len();
         let mut spec = WorkloadSpec::new(n);
         for q in queries {
             match q {
@@ -623,7 +624,8 @@ mod tests {
         let n = 5760;
         let mut t = Tenant::new(TenantConfig::ungated("open", n, 9));
         let distinct = t
-            .dataset
+            .data
+            .segment(0)
             .distinct_rows()
             .expect("≤ 90 ages")
             .rows()
@@ -657,7 +659,7 @@ mod tests {
         let plan = so_plan::QueryPlan::from_spec(&spec);
         let (oracle, stats) = plan.execute(
             spec.pool(),
-            &t.dataset,
+            t.data.segment(0),
             spec.evaluators(),
             &mut so_plan::NodeCache::new(),
         );

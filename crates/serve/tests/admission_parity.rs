@@ -1,16 +1,18 @@
 //! Differential test of the one admission path: the same workloads through
-//! the in-process gates (`GatedEngine`, `IncrementalGate`) and through a
-//! gated tenant over a real socket must refuse with identical codes,
-//! indices and evidence, and leave identical audit lines.
+//! the in-process gate (`IncrementalGate`) and through a gated tenant over a
+//! real socket must refuse with identical codes, indices and evidence, and
+//! leave identical audit lines. The gate runs over a one-segment dataset
+//! (the tenant's shape) and over a mutated one of three segments with
+//! tombstones and the same live row count.
 //!
-//! The in-process gates report refusals only as audit lines. A line
+//! The in-process gate reports refusals only as audit lines. A line
 //! `[gate: CODE] query #i: <query> [evidence]` spells out all three fields,
 //! so the wire refusals rendered with `Refusal::audit_line` must equal the
 //! in-process lines, and the tenant's own trail must hold the same lines.
 
 use rand::Rng;
 
-use so_analyze::{GatedEngine, IncrementalGate, LintConfig, Refusal};
+use so_analyze::{IncrementalGate, LintConfig, Refusal};
 use so_data::rng::seeded_rng;
 use so_data::{
     AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
@@ -20,7 +22,6 @@ use so_plan::shape::PredShape;
 use so_plan::workload::{Noise, WorkloadSpec};
 use so_query::audit::QueryAuditor;
 use so_query::engine::{CountingEngine, WorkloadAnswer};
-use so_query::incremental::IncrementalEngine;
 use so_serve::{Response, ServerConfig, ServerHandle, ServiceClient, TenantConfig, WireQuery};
 
 /// Odd, so the cycle release over every row has full rational rank.
@@ -40,11 +41,28 @@ fn dataset() -> Dataset {
     b.finish()
 }
 
-fn incremental_gate(accountant: Option<ContinualAccountant>) -> IncrementalGate {
-    let engine = IncrementalEngine::new(
+/// A gate over [`dataset`]: as built (one segment, version 0), or
+/// `mutated` — two delta segments inserted and then tombstoned again, so
+/// the same `N` live rows sit in three segments at version 3.
+fn gate(accountant: Option<ContinualAccountant>, mutated: bool) -> IncrementalGate {
+    let mut engine = CountingEngine::new(
         VersionedDataset::with_compact_threshold(dataset(), 1_000_000),
         None,
     );
+    if mutated {
+        let extra = so_data::DELTA_SEGMENT_ROWS + 3;
+        let rows: Vec<Vec<Value>> = (0..extra)
+            .map(|i| vec![Value::Int((i % 90) as i64)])
+            .collect();
+        engine.insert_rows(&rows[..so_data::DELTA_SEGMENT_ROWS]);
+        engine.insert_rows(&rows[so_data::DELTA_SEGMENT_ROWS..]);
+        engine.delete_live(&(N..N + extra).collect::<Vec<_>>());
+        let data = engine.dataset();
+        assert_eq!(
+            (data.n_segments(), data.n_live(), data.version()),
+            (3, N, 3)
+        );
+    }
     match accountant {
         Some(a) => IncrementalGate::with_accountant(engine, LintConfig::default(), a),
         None => IncrementalGate::new(engine, LintConfig::default()),
@@ -137,41 +155,34 @@ fn assert_parity(
     refusals
 }
 
-/// Runs a lint battery through `GatedEngine`, `IncrementalGate` and the
-/// gated tenant.
+/// Runs `queries` through `gate`, which must refuse every one, and
+/// returns the audit lines the refusal left.
+fn refused_lines(gate: &mut IncrementalGate, queries: &[WireQuery], noise: Noise) -> Vec<String> {
+    let before = gate.engine().auditor().trail_len();
+    let out = gate.execute(spec(queries, noise));
+    assert!(out.answers.iter().all(|a| *a == WorkloadAnswer::Refused));
+    lines_after(gate.engine().auditor(), before)
+}
+
+/// Runs a lint battery through both gates and the gated tenant.
 fn lint_battery(
     server: &ServerHandle,
     client: &mut ServiceClient,
-    incremental: &mut IncrementalGate,
+    gates: &mut [IncrementalGate; 2],
     label: &str,
     queries: &[WireQuery],
     noise: Noise,
 ) -> Vec<Refusal> {
     let w = spec(queries, noise);
-    let data = dataset();
-    let mut gated = GatedEngine::new(
-        CountingEngine::new(&data, None),
-        spec(queries, noise),
-        &LintConfig::default(),
-    );
-    let out = gated.execute();
-    assert!(out.answers.iter().all(|a| *a == WorkloadAnswer::Refused));
-    let gated_lines = lines_after(gated.engine().auditor(), 0);
-
-    let before = incremental.engine().auditor().trail_len();
-    let out = incremental.execute(spec(queries, noise));
-    assert!(out.answers.iter().all(|a| *a == WorkloadAnswer::Refused));
-    let incremental_lines = lines_after(incremental.engine().auditor(), before);
-
+    let [one_segment, mutated] = gates;
+    let one_segment = refused_lines(one_segment, queries, noise);
+    let mutated = refused_lines(mutated, queries, noise);
     let wire = over_the_wire(server, client, "guarded", queries, noise);
     assert_parity(
         label,
         &w,
         wire,
-        &[
-            ("GatedEngine", gated_lines),
-            ("IncrementalGate", incremental_lines),
-        ],
+        &[("one-segment gate", one_segment), ("mutated gate", mutated)],
     )
 }
 
@@ -195,7 +206,7 @@ fn wire_and_in_process_refusals_are_identical() {
     .expect("bind loopback");
     let mut client = ServiceClient::connect(server.local_addr()).unwrap();
     assert_eq!(client.hello("guarded").unwrap(), (true, N));
-    let mut incremental = incremental_gate(None);
+    let mut gates = [gate(None, false), gate(None, true)];
 
     // The tracker pair: the population and the population minus one row.
     let tracker = [
@@ -205,7 +216,7 @@ fn wire_and_in_process_refusals_are_identical() {
     let r = lint_battery(
         &server,
         &mut client,
-        &mut incremental,
+        &mut gates,
         "tracker pair",
         &tracker,
         Noise::Exact,
@@ -221,7 +232,7 @@ fn wire_and_in_process_refusals_are_identical() {
     let r = lint_battery(
         &server,
         &mut client,
-        &mut incremental,
+        &mut gates,
         "odd cycle",
         &cycle,
         Noise::Exact,
@@ -236,7 +247,7 @@ fn wire_and_in_process_refusals_are_identical() {
     let r = lint_battery(
         &server,
         &mut client,
-        &mut incremental,
+        &mut gates,
         "density-1/2 battery",
         &battery,
         Noise::Exact,
@@ -245,10 +256,12 @@ fn wire_and_in_process_refusals_are_identical() {
     assert_eq!(recon.query, None, "workload-level");
     assert_eq!(r.last(), Some(recon), "workload-level entries come last");
 
-    // Continual accounting: the metered tenant against an IncrementalGate
-    // with the same budget.
+    // Continual accounting: the metered tenant against gates with the same
+    // budget. The over-budget evidence names the version decided at, which
+    // is v3 on the mutated gate.
     assert_eq!(client.hello("metered").unwrap(), (true, N));
-    let mut metered = incremental_gate(Some(ContinualAccountant::new(BUDGET)));
+    let mut metered = gate(Some(ContinualAccountant::new(BUDGET)), false);
+    let mut mutated = gate(Some(ContinualAccountant::new(BUDGET)), true);
     let benign = [
         WireQuery::IntRange {
             col: 0,
@@ -257,14 +270,21 @@ fn wire_and_in_process_refusals_are_identical() {
         },
         WireQuery::ValueEq { col: 0, value: 3 },
     ];
-    let mut budgeted = |label: &str, noise: Noise| {
+    let mut budgeted = |label: &str, noise: Noise, mutated_evidence: &str| {
         let w = spec(&benign, noise);
-        let before = metered.engine().auditor().trail_len();
-        let out = metered.execute(spec(&benign, noise));
-        assert!(out.answers.iter().all(|a| *a == WorkloadAnswer::Refused));
-        let lines = lines_after(metered.engine().auditor(), before);
+        let lines = refused_lines(&mut metered, &benign, noise);
+        let mutated_lines = refused_lines(&mut mutated, &benign, noise);
         let wire = over_the_wire(&server, &mut client, "metered", &benign, noise);
-        let r = assert_parity(label, &w, wire, &[("IncrementalGate", lines)]);
+        let r = assert_parity(label, &w, wire, &[("one-segment gate", lines)]);
+        let expected: Vec<String> = r
+            .iter()
+            .map(|refusal| {
+                let mut at_v3 = refusal.clone();
+                at_v3.evidence = mutated_evidence.to_owned();
+                at_v3.audit_line(&w)
+            })
+            .collect();
+        assert_eq!(mutated_lines, expected, "{label}: wire vs mutated gate");
         assert_eq!(codes(&r), vec!["SO-CBUDGET"]);
         assert_eq!(
             r.iter().map(|r| r.query).collect::<Vec<_>>(),
@@ -272,11 +292,17 @@ fn wire_and_in_process_refusals_are_identical() {
         );
         r
     };
-    let r = budgeted("exact under an accountant", Noise::Exact);
-    assert_eq!(r[0].evidence, "non-DP release under continual accounting");
-    let r = budgeted("over budget", Noise::PureDp { epsilon: 0.6 });
+    let non_dp = "non-DP release under continual accounting";
+    let r = budgeted("exact under an accountant", Noise::Exact, non_dp);
+    assert_eq!(r[0].evidence, non_dp);
+    let r = budgeted(
+        "over budget",
+        Noise::PureDp { epsilon: 0.6 },
+        "workload ε 1.2000 > remaining 1.0000 at v3",
+    );
     assert_eq!(r[0].evidence, "workload ε 1.2000 > remaining 1.0000 at v0");
     assert_eq!(metered.accountant().unwrap().spent(), 0.0);
+    assert_eq!(mutated.accountant().unwrap().spent(), 0.0);
     assert_eq!(
         server.with_tenant("metered", |t| t.budget().1).unwrap(),
         0.0,

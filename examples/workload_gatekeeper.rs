@@ -11,9 +11,11 @@
 //! count is released. This example lints three declared workloads and then
 //! puts a `CountingEngine` behind the verdict.
 
-use singling_out::analyze::{lint_workload_default, GatedEngine, LintConfig, Noise, WorkloadSpec};
+use singling_out::analyze::{
+    lint_workload_default, IncrementalGate, LintConfig, Noise, WorkloadSpec,
+};
 use singling_out::data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value,
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
 };
 use singling_out::query::predicate::{
     AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
@@ -91,23 +93,23 @@ fn main() {
         println!("   {f}");
     }
 
-    // 3. Gatekeeper mode: the gate owns the declared workload, lints it at
-    //    construction, and `execute()` either refuses every query (one
-    //    citable refusal per offending index in the audit trail) or runs the
-    //    identical plan through the whole-workload planner.
+    // 3. Gatekeeper mode: the gate lints each workload it is handed, and
+    //    `execute()` either refuses every query (one citable refusal per
+    //    offending index in the audit trail) or runs the identical plan
+    //    through the whole-workload planner.
     let mut attack = WorkloadSpec::new(data.n_rows());
     attack.push_predicate(&all, Noise::Exact);
     attack.push_predicate(&tracked, Noise::Exact);
-    let mut gated = GatedEngine::new(
-        CountingEngine::new(&data, None),
-        attack,
-        &LintConfig::default(),
+    let mut gated = IncrementalGate::new(
+        CountingEngine::new(VersionedDataset::new(data), None),
+        LintConfig::default(),
     );
+    let outcome = gated.execute(attack);
+    let open = !gated.report().expect("a workload ran").denies();
     println!(
         "\n3. gatekeeper: gate is {}",
-        if gated.is_open() { "open" } else { "closed" }
+        if open { "open" } else { "closed" }
     );
-    let outcome = gated.execute();
     for (p, answer) in [&all as &dyn RowPredicate, &tracked]
         .into_iter()
         .zip(&outcome.answers)

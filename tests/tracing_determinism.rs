@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use singling_out::data::rng::seeded_rng;
 use singling_out::data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value,
+    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
 };
 use singling_out::dp::LaplaceCount;
 use singling_out::obs::{Field, TraceSubscriber};
@@ -74,7 +74,7 @@ fn workload(n_rows: usize) -> WorkloadSpec {
 }
 
 fn run_once(ds: &Dataset, spec: &WorkloadSpec) -> (WorkloadAnswers, Vec<f64>) {
-    let mut engine = CountingEngine::new(ds, None);
+    let mut engine = CountingEngine::new(VersionedDataset::new(ds.clone()), None);
     let answers = engine.execute_workload(spec);
     let mech = LaplaceCount::new(0.5);
     let mut rng = seeded_rng(0xDE7E);
