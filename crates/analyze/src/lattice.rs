@@ -56,6 +56,12 @@ pub struct TrackerSearch {
 /// Accumulated error at which a chain stops certifying a unique record.
 const ERR_CEILING: f64 = 0.5;
 
+/// True iff a release with worst-case error `alpha` can start a chain:
+/// finite and below [`ERR_CEILING`] (DP rows never certify).
+pub(crate) fn certifies(alpha: f64) -> bool {
+    alpha.is_finite() && alpha < ERR_CEILING
+}
+
 /// Breadth-first tracker-chain search over `matrix`.
 ///
 /// * `threshold` — maximum design width of a reported region (the lint's
@@ -75,9 +81,8 @@ pub fn search(
     if n_rows < 2 || max_chain < 2 || max_found == 0 {
         return out;
     }
-    // Rows eligible to contribute: finite error (DP rows never certify).
     let eligible: Vec<usize> = (0..n_rows)
-        .filter(|&r| matrix.alphas[r].is_finite() && matrix.alphas[r] < ERR_CEILING)
+        .filter(|&r| certifies(matrix.alphas[r]))
         .collect();
 
     // The set membership test only — iteration never touches this, so the

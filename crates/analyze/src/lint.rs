@@ -21,7 +21,20 @@
 //!   arXiv:1210.2381); a chain of admitted differences reaching a narrow
 //!   region is a classic tracker (`SO-TRACKER`, [`crate::lattice`]); a
 //!   narrow cell in the rational row span of the exact releases is isolated
-//!   by an admitted combination (`SO-COVER`);
+//!   by an admitted combination (`SO-COVER`). A predicate family is lowered
+//!   only if one of these passes could change the report, decided from its
+//!   atoms and error bounds before any cell is built:
+//!   - `SO-LINREC` and `SO-COVER` need a narrow cell (`0 < width_hi ≤ t`).
+//!     Without a design-weighted atom every sign cell is exactly `n` wide,
+//!     so there is none when `n > t`;
+//!   - `SO-TRACKER` needs a row with finite error `α < 0.5`; without one it
+//!     examines no combination;
+//!   - the lowering cannot truncate when `2^atoms ≤ matrix_max_cells`.
+//!
+//!   When all three rule a family out — a DP range dashboard, whose atoms
+//!   all read data — it counts as [`Lowered::Empty`], and the report is the
+//!   one lowering it would have produced. Inside a built matrix, `SO-COVER`
+//!   likewise looks for a narrow cell before it builds its rational basis;
 //! * **ε-budget precheck** — statically sums worst-case privacy cost
 //!   against a fresh [`ContinualAccountant`] (basic composition) so an over-budget
 //!   workload is refused before its first answer, and exact-release queries
@@ -40,7 +53,8 @@ use so_plan::ir::{ExprId, PredPool};
 use so_plan::workload::{Noise, QueryKind, WorkloadSpec};
 
 use crate::matrix::{
-    gf2_rank, lower_predicates, lower_subsets, Lowered, MatrixCaps, QueryMatrix, RowBasis,
+    gf2_rank, lower_family, lower_subsets, Lowered, MatrixCaps, PredicateFamily, QueryMatrix,
+    RowBasis,
 };
 
 /// Identity of a lint pass.
@@ -316,8 +330,8 @@ impl Default for LintConfig {
 /// membership mask or a canonical (NNF) predicate id. Equal items are
 /// structurally identical queries.
 #[derive(PartialEq, Eq, Hash)]
-enum LintItem {
-    Subset { mask: BitVec },
+enum LintItem<'a> {
+    Subset { mask: &'a BitVec },
     Pred { nnf: ExprId },
 }
 
@@ -365,40 +379,52 @@ pub fn lint_workload(workload: &mut WorkloadSpec, cfg: &LintConfig) -> LintRepor
 fn lint_workload_passes(workload: &mut WorkloadSpec, cfg: &LintConfig) -> LintReport {
     let n = workload.n_rows();
     let noises: Vec<Noise> = workload.queries().iter().map(|q| q.noise).collect();
+    let nnf = canonical_nnf(workload);
+    let mut report = LintReport::default();
+    item_passes(workload, &nnf, &noises, cfg, &mut report);
+    matrix_passes(workload, &nnf, n, cfg, &mut report);
+    density_pass(&noises, n, cfg, &mut report);
+    budget_pass(&noises, cfg, &mut report);
+    report
+}
 
-    // Canonicalize every predicate query to NNF up front (pool mutation),
-    // then snapshot the per-query lint view.
-    let raw: Vec<Option<ExprId>> = workload
-        .queries()
+/// Canonicalizes every predicate query to NNF up front (pool mutation);
+/// subset queries map to `None`.
+fn canonical_nnf(workload: &mut WorkloadSpec) -> Vec<Option<ExprId>> {
+    let (queries, pool) = workload.queries_and_pool_mut();
+    queries
         .iter()
         .map(|q| match &q.kind {
-            QueryKind::Pred(id) => Some(*id),
+            QueryKind::Pred(id) => Some(pool.nnf(*id)),
             QueryKind::Subset(_) => None,
         })
-        .collect();
-    let nnf: Vec<Option<ExprId>> = raw
+        .collect()
+}
+
+/// The passes over the per-query lint view: dead/duplicate queries, then
+/// differencing.
+fn item_passes(
+    workload: &mut WorkloadSpec,
+    nnf: &[Option<ExprId>],
+    noises: &[Noise],
+    cfg: &LintConfig,
+    report: &mut LintReport,
+) {
+    let n = workload.n_rows();
+    // The items borrow the queries while differencing interns residues.
+    let (queries, pool) = workload.queries_and_pool_mut();
+    let items: Vec<LintItem> = queries
         .iter()
-        .map(|id| id.map(|id| workload.pool_mut().nnf(id)))
-        .collect();
-    let items: Vec<LintItem> = workload
-        .queries()
-        .iter()
-        .zip(&nnf)
+        .zip(nnf)
         .map(|(q, nnf)| match &q.kind {
-            QueryKind::Subset(mask) => LintItem::Subset { mask: mask.clone() },
+            QueryKind::Subset(mask) => LintItem::Subset { mask },
             QueryKind::Pred(_) => LintItem::Pred {
                 nnf: nnf.expect("pred query has an nnf id"),
             },
         })
         .collect();
-
-    let mut report = LintReport::default();
-    dead_and_duplicate_pass(workload, &items, &noises, cfg, &mut report);
-    differencing_pass(workload, &items, &noises, n, cfg, &mut report);
-    matrix_passes(workload, &nnf, n, cfg, &mut report);
-    density_pass(&noises, n, cfg, &mut report);
-    budget_pass(&noises, cfg, &mut report);
-    report
+    dead_and_duplicate_pass(pool, &items, noises, cfg, report);
+    differencing_pass(pool, &items, noises, n, cfg, report);
 }
 
 /// Convenience: [`lint_workload`] with [`LintConfig::default`].
@@ -407,7 +433,7 @@ pub fn lint_workload_default(workload: &mut WorkloadSpec) -> LintReport {
 }
 
 fn dead_and_duplicate_pass(
-    workload: &WorkloadSpec,
+    pool: &PredPool,
     items: &[LintItem],
     noises: &[Noise],
     cfg: &LintConfig,
@@ -425,7 +451,6 @@ fn dead_and_duplicate_pass(
         }
         match item {
             LintItem::Pred { nnf } => {
-                let pool = workload.pool();
                 if *nnf == pool.tru() && dead < cfg.max_findings_per_lint {
                     dead += 1;
                     report.findings.push(Finding {
@@ -484,7 +509,7 @@ fn dead_and_duplicate_pass(
 }
 
 fn differencing_pass(
-    workload: &mut WorkloadSpec,
+    pool: &mut PredPool,
     items: &[LintItem],
     noises: &[Noise],
     n: usize,
@@ -496,7 +521,7 @@ fn differencing_pass(
     let conjunct_sets: Vec<Option<HashSet<ExprId>>> = items
         .iter()
         .map(|item| match item {
-            LintItem::Pred { nnf } => Some(workload.pool().conjuncts(*nnf).into_iter().collect()),
+            LintItem::Pred { nnf } => Some(pool.conjuncts(*nnf).into_iter().collect()),
             LintItem::Subset { .. } => None,
         })
         .collect();
@@ -507,20 +532,27 @@ fn differencing_pass(
     //
     // * Subsets: strict containment differing on 1..=t rows forces a
     //   popcount gap in 1..=t — bucketing masks by popcount is *exact*, no
-    //   qualifying pair is ever skipped.
+    //   qualifying pair is ever skipped. `by_pop` lists the subset queries
+    //   sorted by (popcount, index), so query i's candidates lie in one
+    //   window of it: popcounts within t of its own, but not equal to it.
     // * Predicates: a refinement pair shares every conjunct of its smaller
     //   side, so the union of the per-conjunct posting lists is a sound
     //   candidate superset.
     //
     // Candidates are examined in ascending (i, j) order — the same order
     // the unbucketed pass used — so finding order is unchanged.
-    let mut pop_buckets: HashMap<usize, Vec<usize>> = HashMap::new();
+    let pops: Vec<usize> = items
+        .iter()
+        .map(|item| match item {
+            LintItem::Subset { mask } => mask.count_ones(),
+            LintItem::Pred { .. } => 0,
+        })
+        .collect();
+    let mut by_pop: Vec<(usize, usize)> = Vec::new();
     let mut postings: HashMap<ExprId, Vec<usize>> = HashMap::new();
     for (i, item) in items.iter().enumerate() {
         match item {
-            LintItem::Subset { mask } => {
-                pop_buckets.entry(mask.count_ones()).or_default().push(i);
-            }
+            LintItem::Subset { .. } => by_pop.push((pops[i], i)),
             LintItem::Pred { .. } => {
                 for &c in conjunct_sets[i].as_ref().expect("pred") {
                     // Each posting list stays ascending in i because the
@@ -531,23 +563,26 @@ fn differencing_pass(
             }
         }
     }
+    by_pop.sort_unstable();
 
     let mut found = 0usize;
+    let mut cands: Vec<usize> = Vec::new();
     'outer: for i in 0..items.len() {
-        let mut cands: Vec<usize> = Vec::new();
+        cands.clear();
         match &items[i] {
-            LintItem::Subset { mask } => {
-                let pop = mask.count_ones();
-                for gap in 1..=t {
-                    for p in [pop.checked_sub(gap), Some(pop + gap)]
-                        .into_iter()
-                        .flatten()
-                    {
-                        if let Some(bucket) = pop_buckets.get(&p) {
-                            cands.extend(bucket.iter().copied().filter(|&j| j > i));
-                        }
-                    }
-                }
+            LintItem::Subset { .. } => {
+                let pop = pops[i];
+                let lo = by_pop.partition_point(|&(p, _)| p < pop.saturating_sub(t));
+                let hi = by_pop.partition_point(|&(p, _)| p <= pop.saturating_add(t));
+                cands.extend(
+                    by_pop[lo..hi]
+                        .iter()
+                        .filter(|&&(p, j)| p != pop && j > i)
+                        .map(|&(_, j)| j),
+                );
+                // Popcount buckets are disjoint: sorting alone restores
+                // ascending j with no repeats.
+                cands.sort_unstable();
             }
             LintItem::Pred { .. } => {
                 for &c in conjunct_sets[i].as_ref().expect("pred") {
@@ -555,11 +590,11 @@ fn differencing_pass(
                         cands.extend(list.iter().copied().filter(|&j| j > i));
                     }
                 }
+                cands.sort_unstable();
+                cands.dedup();
             }
         }
-        cands.sort_unstable();
-        cands.dedup();
-        for j in cands {
+        for &j in &cands {
             if report.pairs_examined >= cfg.pair_budget || found >= cfg.max_findings_per_lint {
                 report.truncated = true;
                 break 'outer;
@@ -573,7 +608,7 @@ fn differencing_pass(
                     subset_differencing(i, a, j, b, t)
                 }
                 (LintItem::Pred { nnf: a }, LintItem::Pred { nnf: b }) => pred_differencing(
-                    workload,
+                    pool,
                     (i, *a, conjunct_sets[i].as_ref().expect("pred")),
                     (j, *b, conjunct_sets[j].as_ref().expect("pred")),
                     n,
@@ -630,7 +665,7 @@ fn subset_differencing(i: usize, a: &BitVec, j: usize, b: &BitVec, t: usize) -> 
 /// contribute the vacuous `[0, 1]`, so honest drill-downs over tabular
 /// attributes never fire this lint.
 fn pred_differencing(
-    workload: &mut WorkloadSpec,
+    pool: &mut PredPool,
     (i, a, ca): (usize, ExprId, &HashSet<ExprId>),
     (j, b, cb): (usize, ExprId, &HashSet<ExprId>),
     n: usize,
@@ -645,7 +680,6 @@ fn pred_differencing(
     } else {
         return None;
     };
-    let pool = workload.pool_mut();
     let refinement = pool.and(extras);
     let neg = pool.not(refinement);
     let residue = pool.nnf(neg);
@@ -675,7 +709,9 @@ fn pred_differencing(
 }
 
 /// Lowers each query family to its abstract matrix over atom-partition
-/// cells ([`crate::matrix`]) and runs the three structural passes.
+/// cells ([`crate::matrix`]) and runs the three structural passes. A
+/// predicate family is lowered only when [`family_can_fire`] says a pass
+/// could change the report; otherwise it counts as [`Lowered::Empty`].
 fn matrix_passes(
     workload: &WorkloadSpec,
     nnf: &[Option<ExprId>],
@@ -690,10 +726,13 @@ fn matrix_passes(
         max_cells: cfg.matrix_max_cells,
         bit_budget: cfg.matrix_bit_budget,
     };
-    for lowered in [
-        lower_subsets(workload, alpha_cut, caps),
-        lower_predicates(workload, nnf, alpha_cut, caps),
-    ] {
+    let family = PredicateFamily::collect(workload, nnf, alpha_cut);
+    let predicates = if family_can_fire(&family, workload.pool(), n, cfg) {
+        lower_family(workload, family, caps)
+    } else {
+        Lowered::Empty
+    };
+    for lowered in [lower_subsets(workload, alpha_cut, caps), predicates] {
         match lowered {
             Lowered::Empty => {}
             // Cell refinement grows monotonically, so hitting a cap does
@@ -708,6 +747,36 @@ fn matrix_passes(
             }
         }
     }
+}
+
+/// True iff a region of at most `width_hi` expected rows can single out:
+/// it is nonempty and no wider than the isolation threshold `t`.
+fn is_narrow(width_hi: f64, t: f64) -> bool {
+    width_hi > 0.0 && width_hi <= t
+}
+
+/// Whether lowering a predicate family could change the report. Each
+/// matrix pass has a guard that no lowering of the family can open unless
+/// this holds, so a family it rejects adds nothing to the report:
+///
+/// * `SO-LINREC` and `SO-COVER` act only on a narrow cell. Without a
+///   design-weighted atom every sign cell is exactly `n` rows wide, so
+///   there is none when `n > t` — the Theorem 1.1 reading of a range
+///   dashboard, whose atoms all read data.
+/// * `SO-TRACKER` chains only rows whose error can still certify a record
+///   ([`crate::lattice::certifies`]); without one it examines nothing.
+/// * The lowering truncates only past `matrix_max_cells` cells, and a
+///   family over `k` atoms never holds more than `2^k`.
+fn family_can_fire(family: &PredicateFamily, pool: &PredPool, n: usize, cfg: &LintConfig) -> bool {
+    let t = cfg.isolation_threshold as f64;
+    family
+        .uniform_cell_width(pool, n)
+        .map_or(true, |w| is_narrow(w, t))
+        || family
+            .alphas()
+            .iter()
+            .any(|&a| crate::lattice::certifies(a))
+        || family.cell_bound() > cfg.matrix_max_cells
 }
 
 /// `SO-LINREC`: full structural column rank over a partition that contains
@@ -727,7 +796,7 @@ fn linrec_pass(m: &QueryMatrix, pool: &PredPool, cfg: &LintConfig, report: &mut 
         .cells
         .iter()
         .enumerate()
-        .filter(|(_, c)| c.width_hi > 0.0 && c.width_hi <= t)
+        .filter(|(_, c)| is_narrow(c.width_hi, t))
         .min_by(|(_, a), (_, b)| a.width_hi.total_cmp(&b.width_hi))
     else {
         return;
@@ -814,6 +883,10 @@ fn tracker_pass(m: &QueryMatrix, pool: &PredPool, cfg: &LintConfig, report: &mut
 /// query indices.
 fn cover_pass(m: &QueryMatrix, pool: &PredPool, cfg: &LintConfig, report: &mut LintReport) {
     let t = cfg.isolation_threshold as f64;
+    // Only a narrow cell can be reported: without one, skip the basis.
+    if !m.cells.iter().any(|c| is_narrow(c.width_hi, t)) {
+        return;
+    }
     let cells = m.cells.len();
     // Only exact releases combine safely for the attacker here: rational
     // coefficients can scale bounded noise past any certification margin,
@@ -824,7 +897,7 @@ fn cover_pass(m: &QueryMatrix, pool: &PredPool, cfg: &LintConfig, report: &mut L
     }
     let mut found = 0usize;
     for (c, cell) in m.cells.iter().enumerate() {
-        if cell.width_hi <= 0.0 || cell.width_hi > t {
+        if !is_narrow(cell.width_hi, t) {
             continue;
         }
         if found >= cfg.max_findings_per_lint {
@@ -975,6 +1048,7 @@ fn budget_pass(noises: &[Noise], cfg: &LintConfig, report: &mut LintReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use so_plan::shape::PredShape;
     use so_query::predicate::{
         AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
@@ -1485,6 +1559,222 @@ mod tests {
         let b = build([2, 0, 1]);
         for id in LintId::ALL {
             assert_eq!(a.count(id), b.count(id), "{id} differs across orders");
+        }
+    }
+
+    /// The lint as it was before [`family_can_fire`]: every family lowered
+    /// and handed to all three matrix passes, whatever their guards say.
+    fn unconditional_report(workload: &mut WorkloadSpec, cfg: &LintConfig) -> LintReport {
+        let n = workload.n_rows();
+        let noises: Vec<Noise> = workload.queries().iter().map(|q| q.noise).collect();
+        let nnf = canonical_nnf(workload);
+        let mut report = LintReport::default();
+        item_passes(workload, &nnf, &noises, cfg, &mut report);
+        let alpha_cut = cfg.lp_alpha_factor * (n as f64).sqrt();
+        let caps = MatrixCaps {
+            max_cells: cfg.matrix_max_cells,
+            bit_budget: cfg.matrix_bit_budget,
+        };
+        for lowered in [
+            lower_subsets(workload, alpha_cut, caps),
+            crate::matrix::lower_predicates(workload, &nnf, alpha_cut, caps),
+        ] {
+            match lowered {
+                Lowered::Empty => {}
+                Lowered::Truncated => report.truncated = true,
+                Lowered::Built(m) => {
+                    let pool = workload.pool();
+                    linrec_pass(&m, pool, cfg, &mut report);
+                    tracker_pass(&m, pool, cfg, &mut report);
+                    cover_pass(&m, pool, cfg, &mut report);
+                }
+            }
+        }
+        density_pass(&noises, n, cfg, &mut report);
+        budget_pass(&noises, cfg, &mut report);
+        report
+    }
+
+    /// Lints the workload `build` makes both ways and requires the two
+    /// reports to be identical down to every field.
+    fn assert_same_report(build: impl Fn() -> WorkloadSpec, cfg: &LintConfig) {
+        let lint = lint_workload(&mut build(), cfg);
+        let oracle = unconditional_report(&mut build(), cfg);
+        assert_eq!(format!("{lint:?}"), format!("{oracle:?}"));
+    }
+
+    /// Whether [`family_can_fire`] would lower the workload's predicates.
+    fn can_fire(w: &mut WorkloadSpec, cfg: &LintConfig) -> bool {
+        let n = w.n_rows();
+        let nnf = canonical_nnf(w);
+        let alpha_cut = cfg.lp_alpha_factor * (n as f64).sqrt();
+        let family = PredicateFamily::collect(w, &nnf, alpha_cut);
+        family_can_fire(&family, w.pool(), n, cfg)
+    }
+
+    /// `k` range atoms on distinct columns, one query each.
+    fn ranges(n: usize, k: usize, noise: Noise) -> WorkloadSpec {
+        let mut w = WorkloadSpec::new(n);
+        for col in 0..k {
+            let id = w
+                .pool_mut()
+                .atom(so_plan::ir::Atom::IntRange { col, lo: 0, hi: 9 });
+            w.push_expr(id, noise);
+        }
+        w
+    }
+
+    #[test]
+    fn family_precondition_edges_keep_the_report() {
+        let c = cfg();
+        let dp = Noise::PureDp { epsilon: 1.0 };
+        // (workload, can a pass fire?)
+        let cases: Vec<(Box<dyn Fn() -> WorkloadSpec>, bool)> = vec![
+            // n ≤ t: an n-wide cell is narrow.
+            (Box::new(move || ranges(1, 3, dp)), true),
+            (Box::new(move || ranges(2, 3, dp)), false),
+            // α just under and at the tracker's error ceiling.
+            (
+                Box::new(|| ranges(100, 3, Noise::Bounded { alpha: 0.49 })),
+                true,
+            ),
+            (
+                Box::new(|| ranges(100, 3, Noise::Bounded { alpha: 0.5 })),
+                false,
+            ),
+            // 2^atoms against the default 1024-cell cap.
+            (Box::new(move || ranges(100, 9, dp)), false),
+            (Box::new(move || ranges(100, 10, dp)), false),
+            (Box::new(move || ranges(100, 11, dp)), true),
+            // One designed atom among DP ranges: widths are no longer n.
+            (
+                Box::new(move || {
+                    let mut w = ranges(1_000_000, 4, dp);
+                    w.push_shape(
+                        &PredShape::BitExtract {
+                            bit: 0,
+                            value: true,
+                        },
+                        dp,
+                    );
+                    w
+                }),
+                true,
+            ),
+        ];
+        for (i, (build, want)) in cases.iter().enumerate() {
+            assert_eq!(can_fire(&mut build(), &c), *want, "case {i}");
+            assert_same_report(build, &c);
+        }
+        // The cap edge is tight: all 2^10 cells fit, 2^11 do not.
+        let lowered = |k: usize| {
+            let mut w = ranges(100, k, dp);
+            let nnf = canonical_nnf(&mut w);
+            let caps = MatrixCaps {
+                max_cells: c.matrix_max_cells,
+                bit_budget: c.matrix_bit_budget,
+            };
+            crate::matrix::lower_predicates(&w, &nnf, 10.0, caps)
+        };
+        assert!(matches!(lowered(10), Lowered::Built(m) if m.cells.len() == 1024));
+        assert!(matches!(lowered(11), Lowered::Truncated));
+        assert!(lint_workload(&mut ranges(100, 11, dp), &c).truncated);
+    }
+
+    /// A random atom over small domains, so families share and repeat
+    /// atoms. The first two kinds read data; the last two have design
+    /// weights. `kinds` is how many of them to draw from.
+    fn random_atom(rng: &mut impl Rng, kinds: u32) -> so_plan::ir::Atom {
+        use so_plan::ir::Atom;
+        match rng.gen_range(0..kinds) {
+            0 => {
+                let lo = rng.gen_range(0i64..8);
+                Atom::IntRange {
+                    col: rng.gen_range(0..3),
+                    lo,
+                    hi: lo + rng.gen_range(0i64..6),
+                }
+            }
+            1 => Atom::ValueEquals {
+                col: rng.gen_range(0..3),
+                value: so_data::Value::Int(rng.gen_range(0..4)),
+            },
+            2 => Atom::BitExtract {
+                bit: rng.gen_range(0..4),
+                value: rng.gen_bool(0.5),
+            },
+            _ => {
+                let modulus = [2u64, 64, 128, 1 << 21][rng.gen_range(0..4usize)];
+                Atom::KeyedHash {
+                    key: rng.gen_range(0..2),
+                    modulus,
+                    target: rng.gen_range(0..3),
+                }
+            }
+        }
+    }
+
+    /// A random expression of at most `depth` connective levels over
+    /// [`random_atom`]s of the first `kinds` kinds.
+    fn random_expr(pool: &mut PredPool, rng: &mut impl Rng, kinds: u32, depth: usize) -> ExprId {
+        if depth == 0 || rng.gen_bool(0.4) {
+            return pool.atom(random_atom(rng, kinds));
+        }
+        match rng.gen_range(0..3u32) {
+            0 | 1 => {
+                let kids: Vec<ExprId> = (0..rng.gen_range(1..4))
+                    .map(|_| random_expr(pool, rng, kinds, depth - 1))
+                    .collect();
+                if rng.gen_bool(0.5) {
+                    pool.and(kids)
+                } else {
+                    pool.or(kids)
+                }
+            }
+            _ => {
+                let inner = random_expr(pool, rng, kinds, depth - 1);
+                pool.not(inner)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Deciding a family before lowering it never changes a report:
+        /// findings, `pairs_examined`, `tracker_combos_examined` and
+        /// `truncated` all equal those of lowering every family.
+        #[test]
+        fn family_precondition_keeps_every_report(
+            seed in proptest::prelude::any::<u64>(),
+            n_pick in 0usize..4,
+            m in 1usize..=12,
+            data_only in proptest::prelude::any::<bool>(),
+        ) {
+            let n = [1usize, 2, 100, 1_000_000][n_pick];
+            let noises = [
+                Noise::Exact,
+                Noise::Bounded { alpha: 0.3 },
+                Noise::Bounded { alpha: 0.7 },
+                Noise::PureDp { epsilon: 0.1 },
+                Noise::PureDp { epsilon: 1.0 },
+            ];
+            let build = || {
+                let mut rng = so_data::rng::seeded_rng(seed);
+                let mut w = WorkloadSpec::new(n);
+                for _ in 0..m {
+                    // Data-only families of rows that cannot start a
+                    // chain are the ones the precondition skips; keep them
+                    // frequent.
+                    let (kinds, noise) = if data_only {
+                        (2, noises[rng.gen_range(2..5usize)])
+                    } else {
+                        (4, noises[rng.gen_range(0..5usize)])
+                    };
+                    let id = random_expr(w.pool_mut(), &mut rng, kinds, 2);
+                    w.push_expr(id, noise);
+                }
+                w
+            };
+            assert_same_report(build, &cfg());
         }
     }
 }

@@ -24,6 +24,14 @@
 //! chain search of [`crate::lattice`] — power the `SO-LINREC`, `SO-COVER`,
 //! and `SO-TRACKER` lints.
 //!
+//! The passes can only act where their guards open: `SO-LINREC` and
+//! `SO-COVER` on a *narrow* cell (`0 < width_hi ≤ t`), `SO-TRACKER` on rows
+//! whose error `α < 0.5` can still certify a record. A sign cell's width is
+//! `n` unless a design-weighted atom narrows it, and refinement never holds
+//! more than `2^atoms` cells. So the lint collects the predicate family
+//! first (its queries, error bounds and atom universe), decides from it
+//! whether any pass could fire, and only then lowers it.
+//!
 //! A cell keeps its region (first row and size, or sign assignment) but not
 //! its text: [`QueryMatrix::label`] renders it only for the cells a finding
 //! cites, so a workload that produces no matrix finding never pays for
@@ -217,6 +225,74 @@ struct SignCell {
     members: BitVec,
 }
 
+/// The predicate queries one sign lowering covers — those with
+/// `effective_alpha ≤ alpha_cut` and no opaque atom — and the atom universe
+/// their sign cells range over. It is collected once per lint: the lint
+/// reads it to decide whether lowering could change the report at all, and
+/// [`lower_family`] lowers it.
+#[derive(Debug)]
+pub(crate) struct PredicateFamily {
+    queries: Vec<usize>,
+    alphas: Vec<f64>,
+    exprs: Vec<ExprId>,
+    /// Sorted by id; an atom's position is its index in every sign vector.
+    atoms: Vec<ExprId>,
+}
+
+impl PredicateFamily {
+    /// Selects the workload's lowerable predicate queries (`nnf[i]` is
+    /// query `i`'s canonical id) and collects their atoms.
+    pub(crate) fn collect(workload: &WorkloadSpec, nnf: &[Option<ExprId>], alpha_cut: f64) -> Self {
+        let pool = workload.pool();
+        let mut family = PredicateFamily {
+            queries: Vec::new(),
+            alphas: Vec::new(),
+            exprs: Vec::new(),
+            atoms: Vec::new(),
+        };
+        for (i, q) in workload.queries().iter().enumerate() {
+            if let QueryKind::Pred(_) = &q.kind {
+                let id = nnf[i].expect("pred query has an nnf id");
+                let alpha = q.noise.effective_alpha();
+                if alpha <= alpha_cut && !pool.contains_opaque(id) {
+                    family.queries.push(i);
+                    family.alphas.push(alpha);
+                    family.exprs.push(id);
+                    family.atoms.extend(pool.collect_atoms(id));
+                }
+            }
+        }
+        family.atoms.sort_unstable();
+        family.atoms.dedup();
+        family
+    }
+
+    /// Per-query effective error bounds, in declaration order.
+    pub(crate) fn alphas(&self) -> &[f64] {
+        &self.alphas
+    }
+
+    /// The width every sign cell of the lowering would have, when it is the
+    /// same for all: `n` exactly iff no atom of the universe has a design
+    /// weight (every factor of [`Cell::width_hi`]'s product is then 1).
+    pub(crate) fn uniform_cell_width(&self, pool: &PredPool, n: usize) -> Option<f64> {
+        self.atoms
+            .iter()
+            .all(|&a| pool.atom_design_weight(a).is_none())
+            .then_some(n as f64)
+    }
+
+    /// An upper bound on the cells any lowering of the family holds at
+    /// once: `2^atoms`, since every split forces one more open atom of a
+    /// cell's sign vector (saturating at `usize::MAX`).
+    pub(crate) fn cell_bound(&self) -> usize {
+        u32::try_from(self.atoms.len())
+            .ok()
+            .and_then(|k| 1usize.checked_shl(k))
+            .unwrap_or(usize::MAX)
+    }
+}
+
 /// Lowers the workload's predicate queries with `effective_alpha ≤
 /// alpha_cut` (and no opaque atoms) into a matrix whose cells are the
 /// satisfiable sign assignments over the queries' atoms. Cells are built by
@@ -233,34 +309,33 @@ pub fn lower_predicates(
     alpha_cut: f64,
     caps: MatrixCaps,
 ) -> Lowered {
+    lower_family(
+        workload,
+        PredicateFamily::collect(workload, nnf, alpha_cut),
+        caps,
+    )
+}
+
+/// [`lower_predicates`] over an already collected family. Returns
+/// [`Lowered::Truncated`] only once the refinement holds more than
+/// `caps.max_cells` cells (the one being split included), so never when
+/// [`PredicateFamily::cell_bound`] ≤ `caps.max_cells`.
+pub(crate) fn lower_family(
+    workload: &WorkloadSpec,
+    family: PredicateFamily,
+    caps: MatrixCaps,
+) -> Lowered {
     let pool = workload.pool();
     let n = workload.n_rows();
-    let mut queries: Vec<usize> = Vec::new();
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut exprs: Vec<ExprId> = Vec::new();
-    for (i, q) in workload.queries().iter().enumerate() {
-        if let QueryKind::Pred(_) = &q.kind {
-            let id = nnf[i].expect("pred query has an nnf id");
-            let alpha = q.noise.effective_alpha();
-            if alpha <= alpha_cut && !pool.contains_opaque(id) {
-                queries.push(i);
-                alphas.push(alpha);
-                exprs.push(id);
-            }
-        }
-    }
+    let PredicateFamily {
+        queries,
+        alphas,
+        exprs,
+        atoms,
+    } = family;
     if queries.is_empty() || n == 0 {
         return Lowered::Empty;
     }
-
-    // The atom universe, in pool-interning order; an atom's position in it
-    // is its index in every sign vector.
-    let mut atoms: Vec<ExprId> = Vec::new();
-    for &e in &exprs {
-        atoms.extend(pool.collect_atoms(e));
-    }
-    atoms.sort_unstable();
-    atoms.dedup();
     let atom_index = |atom: ExprId| {
         atoms
             .binary_search(&atom)
@@ -473,6 +548,8 @@ pub struct RowBasis {
     n_cells: usize,
     n_rows: usize,
     /// `(pivot column, basis vector over cells, combination over rows)`.
+    /// A combination stops at its last row that can be nonzero; later
+    /// entries are zero.
     basis: Vec<(usize, Vec<f64>, Vec<f64>)>,
 }
 
@@ -491,7 +568,9 @@ impl RowBasis {
             let mut v: Vec<f64> = (0..n_cells)
                 .map(|c| if row.get(c) { 1.0 } else { 0.0 })
                 .collect();
-            let mut combo = vec![0.0f64; rows.len()];
+            // Only rows 0..=ri can take part in a combination so far, so
+            // the vector stops there; older ones grow in the Jordan step.
+            let mut combo = vec![0.0f64; ri + 1];
             combo[ri] = 1.0;
             b.reduce(&mut v, &mut combo);
             // Partial pivoting: the largest surviving entry becomes the pivot.
@@ -520,6 +599,7 @@ impl RowBasis {
                     for (x, y) in bv.iter_mut().zip(&v) {
                         *x -= coef * y;
                     }
+                    bc.resize(combo.len(), 0.0);
                     for (x, y) in bc.iter_mut().zip(&combo) {
                         *x -= coef * y;
                     }
@@ -530,6 +610,8 @@ impl RowBasis {
         b
     }
 
+    /// Eliminates the basis pivots from `v`, carrying the row combination
+    /// along; `combo` must be at least as long as every basis combination.
     fn reduce(&self, v: &mut [f64], combo: &mut [f64]) {
         for (pivot, bv, bc) in &self.basis {
             let coef = v[*pivot];

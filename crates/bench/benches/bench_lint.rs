@@ -2,7 +2,8 @@
 //! costs on an honest cross-tab batch (the pass-everything common case) and
 //! on the E18 attack batteries that exercise the matrix passes end to end
 //! (cell partition, GF(2)/rational rank, tracker lattice search, covers),
-//! and on the range dashboard a gated 1M-row service tenant answers.
+//! on the range dashboard a gated 1M-row service tenant answers, and on
+//! the LP battery a gated 48-row tenant refuses.
 //! No dataset is ever touched — the linter is purely structural, so these
 //! numbers are the full admission-control overhead a gated engine adds per
 //! workload.
@@ -78,8 +79,9 @@ fn bench_lint_cost(c: &mut Criterion) {
     });
 
     // The range dashboard of a 1M-row tenant at ε = 0.1: the effective α
-    // (≈ 69) is inside the √n cut, so the predicates are lowered to sign
-    // cells, yet no DP row can reach a finding.
+    // (≈ 69) is inside the √n cut, but every range atom reads data, so each
+    // sign cell would be 1M rows wide and no DP row can start a tracker
+    // chain. No matrix pass can fire, and the family is not lowered.
     let ranges = dashboard_ranges();
     group.bench_function("dp_ranges_8_1m_rows", |b| {
         b.iter(|| {
@@ -87,6 +89,20 @@ fn bench_lint_cost(c: &mut Criterion) {
             for r in &ranges {
                 w.push_shape(r, Noise::PureDp { epsilon: 0.1 });
             }
+            lint_workload(&mut w, &cfg).findings.len()
+        });
+    });
+
+    // One request of the wire benchmark's lp_refused workload: a
+    // density-½ battery of 4n = 192 exact subset queries over 48 rows
+    // (drawn once, from E20's seed). Differencing, the mask lowering,
+    // rank, the tracker lattice and covers all run; the density pass
+    // refuses it.
+    let battery = so_recon::lp_attack_queries(48, 192, &mut seeded_rng(11));
+    group.bench_function("lp_battery_48_rows_192_queries", |b| {
+        b.iter(|| {
+            let mut w = WorkloadSpec::new(48);
+            w.push_subsets(&battery, Noise::Exact);
             lint_workload(&mut w, &cfg).findings.len()
         });
     });

@@ -143,6 +143,12 @@ impl WorkloadSpec {
         &mut self.pool
     }
 
+    /// The queries alongside mutable access to the pool, so expressions can
+    /// be interned while the queries stay borrowed.
+    pub fn queries_and_pool_mut(&mut self) -> (&[QuerySpec], &mut PredPool) {
+        (&self.queries, &mut self.pool)
+    }
+
     /// The registered closure evaluator for an opaque atom id, if any.
     pub fn evaluator(&self, opaque_id: u64) -> Option<&Arc<dyn RowPredicate>> {
         self.evaluators.get(&opaque_id)
