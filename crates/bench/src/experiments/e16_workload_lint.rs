@@ -16,9 +16,7 @@ use so_analyze::{
     lint_workload, IncrementalGate, LintConfig, LintId, LintReport, Noise, Severity, WorkloadSpec,
 };
 use so_data::rng::seeded_rng;
-use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
-};
+use so_data::{Value, VersionedDataset};
 use so_plan::shape::PredShape;
 use so_query::predicate::{
     AllRowPredicate, IntRangePredicate, KeyedHashPredicate, NotRowPredicate, RowHashPredicate,
@@ -27,6 +25,7 @@ use so_query::predicate::{
 use so_query::workload::{all_subsets_workload, random_subset_workload, tracker_workload};
 use so_query::CountingEngine;
 
+use crate::models::crosstab_dataset;
 use crate::table::Table;
 use crate::Scale;
 
@@ -134,19 +133,6 @@ pub fn hash_tracker_pair(n_rows: usize) -> (Vec<Box<dyn RowPredicate>>, Workload
         w.push_predicate(p.as_ref(), Noise::Exact);
     }
     (preds, w)
-}
-
-/// A small dept × sex dataset for the gatekeeper demonstration.
-fn crosstab_dataset(n: usize) -> Dataset {
-    let schema = Schema::new(vec![
-        AttributeDef::new("dept", DataType::Int, AttributeRole::QuasiIdentifier),
-        AttributeDef::new("sex", DataType::Int, AttributeRole::QuasiIdentifier),
-    ]);
-    let mut b = DatasetBuilder::new(schema);
-    for i in 0..n {
-        b.push_row(vec![Value::Int((i % 5) as i64), Value::Int((i % 2) as i64)]);
-    }
-    b.finish()
 }
 
 fn lint_row(t: &mut Table, label: &str, w: &mut WorkloadSpec, cfg: &LintConfig) -> LintReport {

@@ -13,7 +13,7 @@
 //! only the `local` column is asserted there.
 //!
 //! Wall-clock per-phase timings are reported in a separate table printed to
-//! *stderr* (the timing channel, like `run_all`'s phase timings) so that
+//! *stderr* (the timing channel, like `exp`'s per-experiment timings) so that
 //! stdout stays byte-identical across runs; every cost-profile cell on
 //! stdout is a deterministic count.
 
@@ -26,30 +26,15 @@
 use std::time::Instant;
 
 use so_data::rng::seeded_rng;
-use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
-};
+use so_data::VersionedDataset;
 use so_dp::{ContinualAccountant, LaplaceCount};
 use so_query::{BoundedNoiseSum, CountingEngine};
 use so_recon::{lp_reconstruct, reconstruction_accuracy};
 
 use crate::experiments::e16_workload_lint::honest_crosstab;
+use crate::models::crosstab_dataset;
 use crate::table::Table;
 use crate::Scale;
-
-/// A deterministic dept × sex dataset (same shape as the E16 gatekeeper
-/// demo) for the replay phase.
-fn crosstab_dataset(n: usize) -> Dataset {
-    let schema = Schema::new(vec![
-        AttributeDef::new("dept", DataType::Int, AttributeRole::QuasiIdentifier),
-        AttributeDef::new("sex", DataType::Int, AttributeRole::QuasiIdentifier),
-    ]);
-    let mut b = DatasetBuilder::new(schema);
-    for i in 0..n {
-        b.push_row(vec![Value::Int((i % 5) as i64), Value::Int((i % 2) as i64)]);
-    }
-    b.finish()
-}
 
 /// Snapshot of the registry counters/gauges E17 cross-checks.
 struct RegistrySnapshot {

@@ -25,14 +25,13 @@
 use so_analyze::{
     lint_workload, IncrementalGate, LintConfig, LintId, LintReport, Noise, WorkloadSpec,
 };
-use so_data::{
-    AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value, VersionedDataset,
-};
+use so_data::{Value, VersionedDataset};
 use so_plan::ir::Atom;
 use so_query::predicate::{AllRowPredicate, RowPredicate, ValueEqualsPredicate};
 use so_query::query::SubsetQuery;
 use so_query::CountingEngine;
 
+use crate::models::crosstab_dataset;
 use crate::table::Table;
 use crate::Scale;
 
@@ -137,19 +136,6 @@ fn honest_crosstab_preds() -> Vec<Box<dyn RowPredicate>> {
         }
     }
     preds
-}
-
-/// A small dept × sex dataset for the gatekeeper table.
-fn crosstab_dataset(n: usize) -> Dataset {
-    let schema = Schema::new(vec![
-        AttributeDef::new("dept", DataType::Int, AttributeRole::QuasiIdentifier),
-        AttributeDef::new("sex", DataType::Int, AttributeRole::QuasiIdentifier),
-    ]);
-    let mut b = DatasetBuilder::new(schema);
-    for i in 0..n {
-        b.push_row(vec![Value::Int((i % 5) as i64), Value::Int((i % 2) as i64)]);
-    }
-    b.finish()
 }
 
 fn lint_row(t: &mut Table, label: &str, w: &mut WorkloadSpec, cfg: &LintConfig) -> LintReport {

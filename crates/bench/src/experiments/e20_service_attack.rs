@@ -27,6 +27,7 @@ use so_serve::{
     ServiceClient, TenantConfig,
 };
 
+use crate::table::clip;
 use crate::{Scale, Table};
 
 /// Master seed for every E20 stream (tenants and attack generators draw
@@ -39,16 +40,6 @@ fn noise_label(noise: Noise) -> String {
         Noise::Exact => "exact".to_owned(),
         Noise::Bounded { alpha } => format!("bounded α={alpha:.2}"),
         Noise::PureDp { epsilon } => format!("ε={epsilon:.4}/query"),
-    }
-}
-
-/// Truncates an audit record for the transcript (deterministically).
-fn clip(s: &str, max: usize) -> String {
-    if s.chars().count() <= max {
-        s.to_owned()
-    } else {
-        let head: String = s.chars().take(max).collect();
-        format!("{head}…")
     }
 }
 
@@ -141,7 +132,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let eps_over = 0.05;
 
     // Counter deltas, not absolutes: the registry is process-global and
-    // `run_all` executes every experiment in one process.
+    // `exp all` executes every experiment in one process.
     let sm = serve_metrics();
     let base = [
         sm.sessions.get(),

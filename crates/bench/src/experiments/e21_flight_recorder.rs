@@ -27,20 +27,11 @@ use so_serve::{
     TenantConfig, WireQuery,
 };
 
+use crate::table::clip;
 use crate::{Scale, Table};
 
 /// Master seed for every E21 stream.
 const MASTER_SEED: u64 = 0xE21;
-
-/// Truncates evidence for the transcript (deterministically).
-fn clip(s: &str, max: usize) -> String {
-    if s.chars().count() <= max {
-        s.to_owned()
-    } else {
-        let head: String = s.chars().take(max).collect();
-        format!("{head}…")
-    }
-}
 
 /// One correlation row: issue `op` (optionally tagged) and report the id
 /// that came back.
@@ -71,7 +62,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let one = || vec![WireQuery::Subset(vec![0])];
 
     // Counter deltas, not absolutes: the registry is process-global and
-    // `run_all` executes every experiment in one process. Tenant names are
+    // `exp all` executes every experiment in one process. Tenant names are
     // E21-scoped so labeled series never collide with other experiments.
     let sm = serve_metrics();
     let flight_base = sm.flight_records.get();

@@ -3,13 +3,13 @@
 
 //! # so-bench — experiment harness
 //!
-//! One module per experiment in DESIGN.md §3 (E1–E17, LT1/LT2), each
-//! exposing `run(scale) -> Vec<Table>` so the binaries, the `run_all`
-//! driver, and the integration tests share one code path. Binaries accept
-//! `--quick` for a reduced-scale run and `--metrics` for a Prometheus-style
-//! dump of the `so-obs` registry after the tables; `SO_TRACE` / `SO_METRICS`
-//! route spans and metrics to files without touching stdout (see
-//! [`experiment_main`]).
+//! One module per experiment in DESIGN.md §3 (E1–E21, LT1/LT2), each
+//! exposing `run(scale) -> Vec<Table>`; [`experiments::ALL`] lists them by
+//! id so the `exp <id|all>` binary and the integration tests share one code
+//! path. `exp` accepts `--quick` for a reduced-scale run and `--metrics` for
+//! a Prometheus-style dump of the `so-obs` registry after the tables;
+//! `SO_TRACE` / `SO_METRICS` route spans and metrics to files without
+//! touching stdout.
 
 pub mod check_output;
 pub mod experiments;
@@ -28,15 +28,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses process arguments (`--quick` selects [`Scale::Quick`]).
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
     /// Selects between the two scale presets.
     pub fn pick<T>(&self, quick: T, full: T) -> T {
         match self {
@@ -55,26 +46,6 @@ pub fn print_tables(tables: &[Table]) {
     for t in tables {
         println!("{}", t.to_csv());
     }
-}
-
-/// Shared entry point for the experiment binaries.
-///
-/// Installs the `SO_TRACE` JSON-lines subscriber if requested, parses
-/// `--quick`, runs the experiment, and prints its tables. `--metrics`
-/// additionally dumps the `so-obs` global registry to stdout in the
-/// Prometheus text format; `SO_METRICS=path` writes the same dump to a file
-/// instead. Neither `SO_TRACE` nor `SO_METRICS` adds a byte to stdout, so
-/// traced and untraced transcripts stay byte-identical — the invariant the
-/// CI determinism gate diffs.
-pub fn experiment_main(run: fn(Scale) -> Vec<Table>) {
-    so_obs::init_from_env();
-    let tables = run(Scale::from_args());
-    print_tables(&tables);
-    if std::env::args().any(|a| a == "--metrics") {
-        print!("{}", so_obs::global().render());
-    }
-    so_obs::write_metrics_if_env();
-    so_obs::flush();
 }
 
 #[cfg(test)]

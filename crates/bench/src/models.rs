@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use singling_out_core::game::TabularModel;
 use so_data::dist::{AttributeDistribution, Categorical, RowDistribution};
-use so_data::{AttributeDef, AttributeRole, DataType, Schema};
+use so_data::{AttributeDef, AttributeRole, DataType, Dataset, DatasetBuilder, Schema, Value};
 
 /// The "typical dataset with many attributes" used by the k-anonymity
 /// experiments (E8, E9, E15): two generalized quasi-identifiers over wide
@@ -55,6 +55,20 @@ pub fn wide_model_hierarchies() -> Arc<Vec<so_kanon::AttributeHierarchy>> {
             widths: vec![365, 1_825, 3_650, 18_250],
         },
     ])
+}
+
+/// A deterministic dept × sex dataset (`dept = i % 5`, `sex = i % 2`): the
+/// honest cross-tab target of the gatekeeper demos (E16–E18).
+pub fn crosstab_dataset(n: usize) -> Dataset {
+    let schema = Schema::new(vec![
+        AttributeDef::new("dept", DataType::Int, AttributeRole::QuasiIdentifier),
+        AttributeDef::new("sex", DataType::Int, AttributeRole::QuasiIdentifier),
+    ]);
+    let mut b = DatasetBuilder::new(schema);
+    for i in 0..n {
+        b.push_row(vec![Value::Int((i % 5) as i64), Value::Int((i % 2) as i64)]);
+    }
+    b.finish()
 }
 
 #[cfg(test)]

@@ -92,6 +92,16 @@ pub fn sci(v: f64) -> String {
     format!("{v:.2e}")
 }
 
+/// Truncates `s` to `max` characters, marking a cut with `…`.
+pub fn clip(s: &str, max: usize) -> String {
+    if s.chars().count() <= max {
+        s.to_owned()
+    } else {
+        let head: String = s.chars().take(max).collect();
+        format!("{head}…")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,9 @@
 //! * `_micros`-filtered `SO_METRICS` dumps identical across thread counts;
 //! * nonempty trace and metrics files from the traced variants.
 //!
-//! It first builds the release binaries its case table names (a no-op when
-//! they are up to date). Scratch output lands in `target/verify_matrix/`.
+//! It first builds the release `exp` binary (a no-op when it is up to
+//! date) and runs each case as `exp <name> --quick`. Scratch output lands in
+//! `target/verify_matrix/`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -30,7 +31,7 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Runs one experiment binary under a scrubbed `SO_*` environment plus the
+/// Runs one experiment under a scrubbed `SO_*` environment plus the
 /// variant's own settings; returns captured stdout.
 fn run_variant(
     root: &Path,
@@ -39,11 +40,10 @@ fn run_variant(
     variant: &Variant,
 ) -> Result<String, String> {
     let bin = root
-        .join("target/release")
-        .join(case.bin)
+        .join("target/release/exp")
         .with_extension(std::env::consts::EXE_EXTENSION);
     let mut cmd = Command::new(&bin);
-    cmd.arg("--quick").current_dir(root);
+    cmd.args([case.name, "--quick"]).current_dir(root);
     for var in SO_ENV_VARS {
         cmd.env_remove(var);
     }
@@ -65,8 +65,8 @@ fn run_variant(
         .map_err(|e| format!("spawning {}: {e}", bin.display()))?;
     if !out.status.success() {
         return Err(format!(
-            "{} [{}] exited with {}:\n{}",
-            case.bin,
+            "exp {} [{}] exited with {}:\n{}",
+            case.name,
             variant.label,
             out.status,
             String::from_utf8_lossy(&out.stderr)
@@ -130,9 +130,9 @@ fn verify_case(root: &Path, scratch: &Path, case: &CaseSpec) -> Result<(), Strin
             .map_err(|e| format!("{}: reading {artifact}: {e}", case.name))?;
         if let Some(d) = first_difference(&recorded, &baseline) {
             return Err(format!(
-                "{}: baseline differs from checked-in {artifact} at {d}\n\
-                 (re-record with: ./target/release/{} --quick > {artifact})",
-                case.name, case.bin
+                "{0}: baseline differs from checked-in {artifact} at {d}\n\
+                 (re-record with: ./target/release/exp {0} --quick > {artifact})",
+                case.name
             ));
         }
     }
@@ -186,14 +186,12 @@ fn verify_case(root: &Path, scratch: &Path, case: &CaseSpec) -> Result<(), Strin
     Ok(())
 }
 
-fn build_binaries(root: &Path) -> Result<(), String> {
-    let mut cmd = Command::new("cargo");
-    cmd.current_dir(root)
-        .args(["build", "--release", "-p", "so-bench"]);
-    for case in cases() {
-        cmd.args(["--bin", case.bin]);
-    }
-    let status = cmd.status().map_err(|e| format!("spawning cargo: {e}"))?;
+fn build_exp(root: &Path) -> Result<(), String> {
+    let status = Command::new("cargo")
+        .current_dir(root)
+        .args(["build", "--release", "-p", "so-bench", "--bin", "exp"])
+        .status()
+        .map_err(|e| format!("spawning cargo: {e}"))?;
     if !status.success() {
         return Err(format!("cargo build failed with {status}"));
     }
@@ -207,7 +205,7 @@ fn main() -> ExitCode {
         eprintln!("creating {}: {e}", scratch.display());
         return ExitCode::FAILURE;
     }
-    if let Err(e) = build_binaries(&root) {
+    if let Err(e) = build_exp(&root) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }

@@ -14,13 +14,12 @@
 //! tested without running a single experiment; process execution lives in
 //! the binary.
 
-/// What the matrix verifies for one experiment binary.
+/// What the matrix verifies for one experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CaseSpec {
-    /// Short label used in output and scratch-file names (`e01`).
+    /// The experiment id `exp <id> --quick` runs (`e01`); also labels output
+    /// and scratch-file names.
     pub name: &'static str,
-    /// The `so-bench` binary to run with `--quick`.
-    pub bin: &'static str,
     /// Checked-in transcript the baseline run must match byte-for-byte.
     pub artifact: Option<&'static str>,
     /// The experiment exercises instrumented code: require nonempty trace
@@ -42,7 +41,6 @@ pub struct CaseSpec {
 pub const fn cases() -> &'static [CaseSpec] {
     const NONE: CaseSpec = CaseSpec {
         name: "",
-        bin: "",
         artifact: None,
         expect_obs: false,
         compaction_grep: None,
@@ -51,25 +49,21 @@ pub const fn cases() -> &'static [CaseSpec] {
     &[
         CaseSpec {
             name: "e01",
-            bin: "exp_e01_exhaustive_reconstruction",
             ..NONE
         },
         CaseSpec {
             name: "e16",
-            bin: "exp_e16_workload_lint",
             expect_obs: true,
             ..NONE
         },
         CaseSpec {
             name: "e18",
-            bin: "exp_e18_query_matrix",
             artifact: Some("experiments/e18_transcript.txt"),
             expect_obs: true,
             ..NONE
         },
         CaseSpec {
             name: "e19",
-            bin: "exp_e19_incremental",
             artifact: Some("experiments/e19_transcript.txt"),
             expect_obs: true,
             compaction_grep: Some("workload"),
@@ -77,21 +71,18 @@ pub const fn cases() -> &'static [CaseSpec] {
         },
         CaseSpec {
             name: "e20",
-            bin: "exp_e20_service_attack",
             artifact: Some("experiments/e20_transcript.txt"),
             expect_obs: true,
             ..NONE
         },
         CaseSpec {
             name: "e21",
-            bin: "exp_e21_flight_recorder",
             artifact: Some("experiments/e21_transcript.txt"),
             expect_obs: true,
             ..NONE
         },
         CaseSpec {
             name: "e17",
-            bin: "exp_e17_observability",
             metrics_smoke_only: true,
             ..NONE
         },
@@ -196,6 +187,10 @@ impl std::fmt::Display for Difference {
     }
 }
 
+/// Appended to the last line of a text that does not end in a newline, when
+/// that is all that tells two texts apart.
+const NO_FINAL_NEWLINE: &str = " [no newline at end of text]";
+
 /// `None` when the texts are byte-identical, else the first differing line.
 pub fn first_difference(left: &str, right: &str) -> Option<Difference> {
     if left == right {
@@ -208,6 +203,24 @@ pub fn first_difference(left: &str, right: &str) -> Option<Difference> {
         lineno += 1;
         match (l.next(), r.next()) {
             (Some(a), Some(b)) if a == b => continue,
+            (None, None) => {
+                // Same lines, so only line endings differ, most often the
+                // final newline: point at the last line and mark the side
+                // that lacks it.
+                let last = left.lines().last().unwrap_or("");
+                let end = |text: &str| {
+                    if text.ends_with('\n') {
+                        last.to_owned()
+                    } else {
+                        format!("{last}{NO_FINAL_NEWLINE}")
+                    }
+                };
+                return Some(Difference {
+                    line: lineno - 1,
+                    left: end(left),
+                    right: end(right),
+                });
+            }
             (a, b) => {
                 return Some(Difference {
                     line: lineno,
@@ -245,7 +258,13 @@ mod tests {
         dedup.dedup();
         assert_eq!(names, dedup, "case names must be unique");
         for c in cases {
-            assert!(c.bin.starts_with("exp_"), "{}: odd binary name", c.name);
+            let id = c.name.as_bytes();
+            assert!(
+                c.name == "lt"
+                    || (id.len() == 3 && id[0] == b'e' && id[1..].iter().all(u8::is_ascii_digit)),
+                "{}: not an experiment id",
+                c.name
+            );
             if let Some(a) = c.artifact {
                 assert!(
                     a.starts_with("experiments/") && a.ends_with(".txt"),
@@ -302,7 +321,12 @@ mod tests {
         // Length mismatch: the missing side reads as empty.
         let d = first_difference("a\n", "a\nb\n").expect("differs");
         assert_eq!((d.line, d.left.as_str(), d.right.as_str()), (2, "", "b"));
-        // Same lines, different trailing whitespace is still a difference.
-        assert!(first_difference("a", "a\n").is_some() || "a" == "a\n");
+        // Only the final newline differs: the side that lacks it says so.
+        let d = first_difference("a", "a\n").expect("differs");
+        assert_eq!((d.line, d.right.as_str()), (1, "a"));
+        assert_eq!(d.left, format!("a{NO_FINAL_NEWLINE}"));
+        let d = first_difference("a\nb\n", "a\nb").expect("differs");
+        assert_eq!((d.line, d.left.as_str()), (2, "b"));
+        assert_eq!(d.right, format!("b{NO_FINAL_NEWLINE}"));
     }
 }

@@ -83,7 +83,7 @@ fn main() {
     //    conjoined with the verbatim sensitive column gives a low-weight
     //    predicate matching k' records; a 1/k' refinement isolates with
     //    probability ≈ 1/e (Theorem 2.10) — demonstrated at scale in
-    //    experiment E8 (`cargo run -p so-bench --bin exp_e08_kanon_pso`).
+    //    experiment E8 (`cargo run -p so-bench --bin exp -- e08`).
     let narrowest = anon
         .classes()
         .iter()
