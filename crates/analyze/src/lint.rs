@@ -45,6 +45,7 @@
 //! Findings carry a lint id, severity, the offending query indices, and a
 //! human-readable explanation — a refusal with a citable reason.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use so_data::BitVec;
@@ -329,10 +330,25 @@ impl Default for LintConfig {
 /// A query as the lints see it: index, release noise, and either an exact
 /// membership mask or a canonical (NNF) predicate id. Equal items are
 /// structurally identical queries.
-#[derive(PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq)]
 enum LintItem<'a> {
     Subset { mask: &'a BitVec },
     Pred { nnf: ExprId },
+}
+
+impl LintItem<'_> {
+    /// A total order whose equal items are exactly the `==` ones:
+    /// predicates by NNF id, then subsets by mask length and words.
+    fn order(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (LintItem::Pred { nnf: a }, LintItem::Pred { nnf: b }) => a.cmp(b),
+            (LintItem::Subset { mask: a }, LintItem::Subset { mask: b }) => {
+                (a.len(), a.words()).cmp(&(b.len(), b.words()))
+            }
+            (LintItem::Pred { .. }, LintItem::Subset { .. }) => Ordering::Less,
+            (LintItem::Subset { .. }, LintItem::Pred { .. }) => Ordering::Greater,
+        }
+    }
 }
 
 /// Two releases whose combined worst-case error cannot blur a count by a
@@ -441,7 +457,7 @@ fn dead_and_duplicate_pass(
 ) {
     let mut dead = 0usize;
     let mut dups = 0usize;
-    let mut seen: HashMap<&LintItem, usize> = HashMap::new();
+    let firsts = first_exact_occurrences(items, noises);
     for (i, item) in items.iter().enumerate() {
         // Only exact releases: a repeated *noisy* query is legitimate
         // (independent noise draws), and a noisy tautology is just a noisy
@@ -488,24 +504,42 @@ fn dead_and_duplicate_pass(
                 }
             }
         }
-        if let Some(&first) = seen.get(item) {
-            if dups < cfg.max_findings_per_lint {
-                dups += 1;
-                report.findings.push(Finding {
-                    lint: LintId::Duplicate,
-                    severity: Severity::Warn,
-                    queries: vec![first, i],
-                    message: format!(
-                        "query #{i} is structurally identical to #{first} under exact release — \
-                         a repeated answer adds no information and aliases the bitmap cache"
-                    ),
-                    evidence: None,
-                });
-            }
-        } else {
-            seen.insert(item, i);
+        let first = firsts[i];
+        if first != i && dups < cfg.max_findings_per_lint {
+            dups += 1;
+            report.findings.push(Finding {
+                lint: LintId::Duplicate,
+                severity: Severity::Warn,
+                queries: vec![first, i],
+                message: format!(
+                    "query #{i} is structurally identical to #{first} under exact release — \
+                     a repeated answer adds no information and aliases the bitmap cache"
+                ),
+                evidence: None,
+            });
         }
     }
+}
+
+/// For each exact item, the index of the first exact item equal to it (its
+/// own index when none comes earlier); other items map to themselves.
+/// Sorting the exact indices by item, then by index, puts every group of
+/// equal items in one run headed by its first occurrence — no hashing of
+/// analyst-chosen masks.
+fn first_exact_occurrences(items: &[LintItem], noises: &[Noise]) -> Vec<usize> {
+    let mut first: Vec<usize> = (0..items.len()).collect();
+    let mut exact: Vec<usize> = (0..items.len())
+        .filter(|&i| noises[i] == Noise::Exact)
+        .collect();
+    exact.sort_unstable_by(|&a, &b| items[a].order(&items[b]).then(a.cmp(&b)));
+    let mut head: Option<usize> = None;
+    for i in exact {
+        match head {
+            Some(h) if items[h] == items[i] => first[i] = h,
+            _ => head = Some(i),
+        }
+    }
+    first
 }
 
 fn differencing_pass(

@@ -159,22 +159,25 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
         return Lowered::Truncated;
     }
 
-    // Per-row membership signature over the selected queries.
-    let mut sigs: Vec<BitVec> = vec![BitVec::zeros(queries.len()); n];
+    // Per-row membership signatures over the selected queries, `w` words
+    // per row in one flat buffer (no allocation per row).
+    let w = queries.len().div_ceil(64);
+    let mut sigs: Vec<u64> = vec![0; n * w];
     for (qi, mask) in masks.iter().enumerate() {
+        let bit = 1u64 << (qi % 64);
         for row in mask.iter_ones() {
-            sigs[row].set(qi, true);
+            sigs[row * w + qi / 64] |= bit;
         }
     }
 
     // Group rows by signature; cells are numbered by first-row order, so the
     // construction is deterministic. (The map is only probed per row — cell
     // order never depends on map iteration.)
-    let mut index: HashMap<&BitVec, usize> = HashMap::new();
-    let mut cell_sig: Vec<&BitVec> = Vec::new();
+    let mut index: HashMap<&[u64], usize> = HashMap::new();
+    let mut cell_sig: Vec<&[u64]> = Vec::new();
     let mut cell_first: Vec<usize> = Vec::new();
     let mut cell_count: Vec<usize> = Vec::new();
-    for (row, sig) in sigs.iter().enumerate() {
+    for (row, sig) in sigs.chunks_exact(w).enumerate() {
         if let Some(&c) = index.get(sig) {
             cell_count[c] += 1;
         } else {
@@ -191,8 +194,12 @@ pub fn lower_subsets(workload: &WorkloadSpec, alpha_cut: f64, caps: MatrixCaps) 
 
     let mut rows = vec![BitVec::zeros(cell_sig.len()); queries.len()];
     for (c, sig) in cell_sig.iter().enumerate() {
-        for qi in sig.iter_ones() {
-            rows[qi].set(c, true);
+        for (wi, &word) in sig.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                rows[wi * 64 + bits.trailing_zeros() as usize].set(c, true);
+                bits &= bits - 1;
+            }
         }
     }
     let cells = cell_first

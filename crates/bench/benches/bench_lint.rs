@@ -2,8 +2,9 @@
 //! costs on an honest cross-tab batch (the pass-everything common case) and
 //! on the E18 attack batteries that exercise the matrix passes end to end
 //! (cell partition, GF(2)/rational rank, tracker lattice search, covers),
-//! on the range dashboard a gated 1M-row service tenant answers, and on
-//! the LP battery a gated 48-row tenant refuses.
+//! on the range dashboard a gated 1M-row service tenant answers, on the
+//! LP battery a gated 48-row tenant refuses, and on exact subset queries
+//! over 1M rows, which fill the subset lowering's bit budget.
 //! No dataset is ever touched — the linter is purely structural, so these
 //! numbers are the full admission-control overhead a gated engine adds per
 //! workload.
@@ -103,6 +104,18 @@ fn bench_lint_cost(c: &mut Criterion) {
         b.iter(|| {
             let mut w = WorkloadSpec::new(48);
             w.push_subsets(&battery, Noise::Exact);
+            lint_workload(&mut w, &cfg).findings.len()
+        });
+    });
+
+    // The subset lowering at its bit budget: 8 exact density-½ subset
+    // queries over 1M rows (8M membership bits), so the per-row signatures
+    // of a million rows are grouped into 256 cells before rank and covers.
+    let wide = so_recon::lp_attack_queries(1_000_000, 8, &mut seeded_rng(12));
+    group.bench_function("exact_subsets_8_1m_rows", |b| {
+        b.iter(|| {
+            let mut w = WorkloadSpec::new(1_000_000);
+            w.push_subsets(&wide, Noise::Exact);
             lint_workload(&mut w, &cfg).findings.len()
         });
     });

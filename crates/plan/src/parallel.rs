@@ -36,15 +36,17 @@
 //! which worker ran what never shows.
 //!
 //! Thread count comes from the `SO_THREADS` environment variable
-//! ([`THREADS_ENV`]), defaulting to [`std::thread::available_parallelism`];
-//! no dependencies beyond `std` are involved. The executor also exposes
+//! ([`THREADS_ENV`]), read on every [`ParallelExecutor::from_env`], and
+//! defaults to [`std::thread::available_parallelism`], worked out once per
+//! process (it reads cgroup files, and engines are built per request); no
+//! dependencies beyond `std` are involved. The executor also exposes
 //! [`ParallelExecutor::map_chunks`], the generic deterministic fan-out used
 //! by the subset-sum mechanisms, the k-anonymity class merge, and the PSO
 //! game loop.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use so_data::{BitVec, Dataset};
 
@@ -89,7 +91,8 @@ impl ParallelExecutor {
     }
 
     /// An executor honouring the [`THREADS_ENV`] (`SO_THREADS`) override,
-    /// defaulting to the machine's available parallelism.
+    /// read on each call, defaulting to the machine's available parallelism,
+    /// worked out once per process.
     pub fn from_env() -> Self {
         Self::with_threads(threads_from(std::env::var(THREADS_ENV).ok().as_deref()))
     }
@@ -366,15 +369,25 @@ impl Default for ParallelExecutor {
 }
 
 /// Resolves the worker count from an optional `SO_THREADS` value, falling
-/// back to available parallelism (and 1 if that is unknown).
+/// back to [`host_parallelism`].
 fn threads_from(env: Option<&str>) -> usize {
     env.and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&t| t >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(host_parallelism)
+}
+
+/// The machine's available parallelism (1 if unknown), worked out once per
+/// process. [`std::thread::available_parallelism`] reads cgroup files on
+/// every call, which would otherwise cost each engine construction
+/// microseconds. The core count only sets the worker count, and answers
+/// are bit-identical at every worker count.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// One worker's pass: evaluates `eval_ids` (a valid bottom-up schedule) over

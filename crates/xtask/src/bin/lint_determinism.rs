@@ -1,6 +1,6 @@
 //! The determinism lint: scans every workspace crate for wall-clock reads,
-//! ambient randomness, and hash-order iteration that could leak
-//! nondeterminism into transcript-feeding paths (see the `xtask` crate docs
+//! ambient randomness, hash-order iteration, and host core-count probes that
+//! could leak nondeterminism into transcript-feeding paths (see the `xtask` crate docs
 //! for the rules). Audited sites live in `lint_determinism.allow` at the
 //! repository root; unallowlisted hits and stale entries both exit nonzero.
 

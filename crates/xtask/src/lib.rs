@@ -18,7 +18,10 @@
 //! * **hash-iter** — iteration over a `HashMap`/`HashSet` local
 //!   (`.iter()`, `.keys()`, `.values()`, `.drain()`, `for x in map`):
 //!   iteration order is randomized per process, so anything it feeds must
-//!   either be re-sorted or the site audited.
+//!   either be re-sorted or the site audited;
+//! * **host-probe** — `available_parallelism`: the host's core count
+//!   changes from machine to machine, so it may only set a worker count,
+//!   never a value a transcript carries.
 //!
 //! Sites that are audited and deliberate live in `lint_determinism.allow` at
 //! the repository root, one `rule path justification…` line each. A hit
@@ -47,11 +50,18 @@ pub enum Rule {
     AmbientRng,
     /// Iteration over a randomized-order `HashMap`/`HashSet` local.
     HashIter,
+    /// Reads of the host's core count (`available_parallelism`).
+    HostProbe,
 }
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 3] = [Rule::WallClock, Rule::AmbientRng, Rule::HashIter];
+    pub const ALL: [Rule; 4] = [
+        Rule::WallClock,
+        Rule::AmbientRng,
+        Rule::HashIter,
+        Rule::HostProbe,
+    ];
 
     /// The rule's name as used in `lint_determinism.allow`.
     pub fn name(self) -> &'static str {
@@ -59,6 +69,7 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::AmbientRng => "ambient-rng",
             Rule::HashIter => "hash-iter",
+            Rule::HostProbe => "host-probe",
         }
     }
 
@@ -103,6 +114,9 @@ const WALL_CLOCK_TOKENS: [&str; 3] = ["Instant::now", "SystemTime::now", "UNIX_E
 
 /// Tokens whose bare occurrence is an ambient-randomness hit.
 const AMBIENT_RNG_TOKENS: [&str; 4] = ["thread_rng", "from_entropy", "OsRng", "rand::random"];
+
+/// The token whose bare occurrence is a host-probe hit.
+const HOST_PROBE_TOKEN: &str = "available_parallelism";
 
 /// True iff `hay[idx..]` starts a word-boundary occurrence of `needle`
 /// (identifier characters on neither side).
@@ -225,6 +239,9 @@ pub fn scan_source(path: &str, source: &str) -> Vec<Hit> {
             .any(|t| !bounded_occurrences(code, t).is_empty())
         {
             push(Rule::AmbientRng);
+        }
+        if !bounded_occurrences(code, HOST_PROBE_TOKEN).is_empty() {
+            push(Rule::HostProbe);
         }
         'locals: for name in &hash_locals {
             for idx in bounded_occurrences(code, name) {
@@ -451,6 +468,35 @@ mod tests {
         assert_eq!(hits[0].rule, Rule::AmbientRng);
         // A longer identifier containing the token is not a hit.
         assert!(scan_source("x.rs", &format!("let my_{t} = seeded();\n")).is_empty());
+    }
+
+    #[test]
+    fn host_probe_is_caught_outside_comments_and_tests() {
+        let probe = tok(&["available", "_parallelism"]);
+        let src = format!(
+            "fn workers() -> usize {{\n    std::thread::{probe}().map_or(1, |n| n.get())\n}}\n"
+        );
+        let hits = scan_source("crates/demo/src/lib.rs", &src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, Rule::HostProbe);
+        assert_eq!(hits[0].line, 2);
+        // Doc comments and test blocks may name it; longer identifiers
+        // containing it are not a hit.
+        let clean = format!(
+            "/// Defaults to [`std::thread::{probe}`].\n\
+             fn f() {{ let host_{probe}_cache = 1; let _ = host_{probe}_cache; }}\n\
+             #[cfg(test)]\n\
+             mod tests {{\n    fn t() {{ let _ = std::thread::{probe}(); }}\n}}\n"
+        );
+        assert!(scan_source("x.rs", &clean).is_empty());
+        // It round-trips through the allowlist format.
+        assert_eq!(Rule::from_name("host-probe"), Some(Rule::HostProbe));
+        let allow =
+            Allowlist::parse("host-probe crates/demo/src/lib.rs sets the worker count only\n")
+                .expect("parses");
+        let res = check(hits, &allow);
+        assert!(res.violations.is_empty() && res.stale.is_empty());
+        assert_eq!(res.allowed.len(), 1);
     }
 
     #[test]

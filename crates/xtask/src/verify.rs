@@ -187,46 +187,54 @@ impl std::fmt::Display for Difference {
     }
 }
 
-/// Appended to the last line of a text that does not end in a newline, when
-/// that is all that tells two texts apart.
+/// Appended to a shown line that ends the text without a newline.
 const NO_FINAL_NEWLINE: &str = " [no newline at end of text]";
 
-/// `None` when the texts are byte-identical, else the first differing line.
+/// Appended to a shown line that ends in `\r\n` rather than `\n`.
+const CRLF_ENDING: &str = " [CRLF line ending]";
+
+/// Shown for a line with no content, so it cannot be mistaken for the side
+/// that ran out of lines.
+const EMPTY_LINE: &str = "[empty line]";
+
+/// One line of a text, with its terminator, as shown in a [`Difference`]:
+/// an empty line and any ending other than `\n` are named.
+fn shown_line(line: Option<&str>) -> String {
+    let Some(line) = line else {
+        return String::new();
+    };
+    let (content, ending) = if let Some(c) = line.strip_suffix("\r\n") {
+        (c, CRLF_ENDING)
+    } else if let Some(c) = line.strip_suffix('\n') {
+        (c, "")
+    } else {
+        (line, NO_FINAL_NEWLINE)
+    };
+    let content = if content.is_empty() {
+        EMPTY_LINE
+    } else {
+        content
+    };
+    format!("{content}{ending}")
+}
+
+/// `None` when the texts are byte-identical, else the first line (counting
+/// its terminator) that differs.
 pub fn first_difference(left: &str, right: &str) -> Option<Difference> {
-    if left == right {
-        return None;
-    }
-    let mut l = left.lines();
-    let mut r = right.lines();
-    let mut lineno = 0usize;
+    let mut l = left.split_inclusive('\n');
+    let mut r = right.split_inclusive('\n');
+    let mut line = 0usize;
     loop {
-        lineno += 1;
+        line += 1;
         match (l.next(), r.next()) {
+            (None, None) => return None,
             (Some(a), Some(b)) if a == b => continue,
-            (None, None) => {
-                // Same lines, so only line endings differ, most often the
-                // final newline: point at the last line and mark the side
-                // that lacks it.
-                let last = left.lines().last().unwrap_or("");
-                let end = |text: &str| {
-                    if text.ends_with('\n') {
-                        last.to_owned()
-                    } else {
-                        format!("{last}{NO_FINAL_NEWLINE}")
-                    }
-                };
-                return Some(Difference {
-                    line: lineno - 1,
-                    left: end(left),
-                    right: end(right),
-                });
-            }
             (a, b) => {
                 return Some(Difference {
-                    line: lineno,
-                    left: a.unwrap_or("").to_owned(),
-                    right: b.unwrap_or("").to_owned(),
-                });
+                    line,
+                    left: shown_line(a),
+                    right: shown_line(b),
+                })
             }
         }
     }
@@ -328,5 +336,14 @@ mod tests {
         let d = first_difference("a\nb\n", "a\nb").expect("differs");
         assert_eq!((d.line, d.left.as_str()), (2, "b"));
         assert_eq!(d.right, format!("b{NO_FINAL_NEWLINE}"));
+        // An extra empty line is named, not shown as a second blank side.
+        let d = first_difference("a\n", "a\n\n").expect("differs");
+        assert_eq!((d.line, d.left.as_str()), (2, ""));
+        assert_eq!(d.right, EMPTY_LINE);
+        // Only the line ending differs: the CRLF side says so.
+        let d = first_difference("a\r\n", "a\n").expect("differs");
+        assert_eq!((d.line, d.right.as_str()), (1, "a"));
+        assert_eq!(d.left, format!("a{CRLF_ENDING}"));
+        assert_ne!(d.left, d.right);
     }
 }
